@@ -79,6 +79,25 @@ def decode_entry(read_parcel: ParcelReader, pc: int,
                         first.length_bytes())
 
 
+def decode_span(read_parcel: ParcelReader, entry: DecodedEntry) -> int:
+    """How many parcels :func:`decode_entry` read to produce ``entry``.
+
+    They are contiguous from ``entry.address``: the entry itself, plus —
+    after an unfolded non-branch — the follower it peeked at (just that
+    follower's first parcel when its length does not decode). The entry
+    is a pure function of these parcels and the policy.
+    """
+    if entry.body is None or entry.branch is not None:
+        return entry.length_bytes // PARCEL_BYTES
+    body = entry.body.length_parcels()
+    try:
+        follower = instruction_length(
+            read_parcel(entry.address + body * PARCEL_BYTES))
+    except (EncodingError, ValueError):
+        follower = 1
+    return body + follower
+
+
 class BranchFolder:
     """Stateless convenience wrapper binding a policy to a parcel source."""
 

@@ -143,7 +143,10 @@ def _compile_workload(parser: argparse.ArgumentParser, args,
         config_kwargs["icache_entries"] = args.icache
     if args.mem_latency is not None:
         config_kwargs["mem_latency"] = args.mem_latency
-    config = CpuConfig(**config_kwargs)
+    try:
+        config = CpuConfig(**config_kwargs)
+    except ValueError as error:
+        parser.error(str(error))
     return (program, config, info) if debug else (program, config)
 
 

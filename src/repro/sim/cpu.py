@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from repro.asm.program import Program
 from repro.core.policy import FoldPolicy
 from repro.obs.events import EventBus
-from repro.sim.dynfold import DynamicFoldUnit
+from repro.sim.dynfold import INJECT_MODES, DynamicFoldUnit
 from repro.sim.eu import ExecutionUnit
 from repro.sim.icache import DecodedICache
 from repro.sim.memory import Memory
@@ -55,6 +55,28 @@ class CpuConfig:
     engine: str = "fast"
 
     def __post_init__(self) -> None:
+        # a zero latency or depth never decodes (the PDU spins at the
+        # entry point until the watchdog fires); reject such configs here,
+        # naming the field, rather than deep inside the machine
+        if not isinstance(self.fold_policy, FoldPolicy):
+            raise ValueError(
+                f"fold_policy must be a FoldPolicy, got {self.fold_policy!r}")
+        entries = self.icache_entries
+        if (not isinstance(entries, int) or entries <= 0
+                or entries & (entries - 1)):
+            raise ValueError(
+                f"icache_entries must be a positive power of two, "
+                f"got {entries!r}")
+        for name in ("mem_latency", "decode_latency", "prefetch_depth",
+                     "max_cycles"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, "
+                                 f"got {value!r}")
+        if self.inject not in (None, *INJECT_MODES):
+            raise ValueError(
+                f"inject must be one of {(None, *INJECT_MODES)}, "
+                f"got {self.inject!r}")
         if self.engine not in ("fast", "blockspec", "batched"):
             raise ValueError(f"unknown engine {self.engine!r}")
 

@@ -22,6 +22,10 @@ Timing model:
   (prefetching down the *predicted* path), resetting the queue whenever
   the path leaves the sequential stream, and pausing ``prefetch_depth``
   entries past the last execution-unit demand.
+
+Every decode is timed as a fresh one, but the host-side work is memoized
+per machine: an address whose parcels are unchanged since its last
+decode reuses that decode's entry (see :meth:`PrefetchDecodeUnit._decode`).
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.decoded import DecodedEntry
-from repro.core.folder import BranchFolder
+from repro.core.folder import BranchFolder, decode_span
 from repro.core.policy import FoldPolicy
 from repro.isa.encoding import EncodingError
 from repro.isa.parcels import PARCEL_BYTES
@@ -84,6 +88,13 @@ class PrefetchDecodeUnit:
         self.entries_ahead = 0  #: entries decoded since the last demand
         self.memory_accesses = 0
         self.decoded_entries = 0
+        #: decoded entries served from the decode memo (counted in
+        #: decoded_entries too; only the host-side decode work is skipped)
+        self.decode_memo_hits = 0
+        #: per-machine decode memo: pc -> (the parcels the decode read,
+        #: parcels_needed, entry); see _decode
+        self._memo: dict[int, tuple[tuple[int, ...], int, DecodedEntry]] = {}
+        self._read_parcel = memory.read_parcel
         self._starved = False  #: decoder waiting on parcels this cycle
 
     # ---- execution-unit interface -----------------------------------------
@@ -149,15 +160,14 @@ class PrefetchDecodeUnit:
         if available <= 0:
             return
         try:
-            needed = self.folder.parcels_needed(self.decode_pc)
-            if available < needed:
-                self._starved = True
-                return
-            entry = self.folder.decode(self.decode_pc)
+            entry = self._decode(self.decode_pc, available)
         except EncodingError:
             # prefetch ran past the program into undecodable bytes — stop
             # until the EU demands a real address
             self.decode_pc = None
+            return
+        if entry is None:
+            self._starved = True
             return
         self.inflight.append(_InFlight(entry, self.decode_latency))
         self.decoded_entries += 1
@@ -207,6 +217,40 @@ class PrefetchDecodeUnit:
             self.fetch_countdown = 0
         if entry.halts:
             self.decode_pc = None
+
+    def _decode(self, pc: int, available: int) -> DecodedEntry | None:
+        """The entry at ``pc``, or None while its QA..QE window is not
+        all buffered in the ``available`` parcels.
+
+        A memo hit whose recorded parcels still match memory returns the
+        recorded entry object; a miss or a changed parcel decodes afresh.
+        Raises :class:`EncodingError` (never memoized) on undecodable
+        bytes.
+        """
+        read = self._read_parcel
+        memo = self._memo.get(pc)
+        if memo is not None:
+            parcels, needed, entry = memo
+            address = pc
+            for parcel in parcels:
+                if read(address) != parcel:
+                    break
+                address += PARCEL_BYTES
+            else:
+                if available < needed:
+                    return None
+                self.decode_memo_hits += 1
+                return entry
+        folder = self.folder
+        needed = folder.parcels_needed(pc)
+        if available < needed:
+            return None
+        entry = folder.decode(pc)
+        self._memo[pc] = (
+            tuple(read(pc + i * PARCEL_BYTES)
+                  for i in range(decode_span(read, entry))),
+            needed, entry)
+        return entry
 
     def _maybe_start_fetch(self) -> None:
         if self.fetch_countdown > 0 or self.decode_pc is None:

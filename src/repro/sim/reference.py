@@ -18,6 +18,8 @@ Two consumers depend on it staying put:
 
 It intentionally does **not** share the optimised helpers: the point is
 an independently-written (well: independently-preserved) step function.
+Its PDU is the production timing model minus the decode memo
+(:class:`ReferencePrefetchDecodeUnit`), so every decode runs afresh.
 Interrupt delivery is the one feature not carried over — the reference
 exists to check the steady-state pipeline, and the interrupt tests drive
 the real kernel directly.
@@ -152,6 +154,16 @@ class ReferenceMemory(Memory):
         value = to_u32(value)
         for i in range(4):
             self.write_byte(address + i, (value >> (8 * i)) & 0xFF)
+
+
+class ReferencePrefetchDecodeUnit(PrefetchDecodeUnit):
+    """The PDU without the decode memo: every decode goes through the
+    branch folder, so fast-vs-reference differentials check the memo."""
+
+    def _decode(self, pc: int, available: int) -> DecodedEntry | None:
+        if available < self.folder.parcels_needed(pc):
+            return None
+        return self.folder.decode(pc)
 
 
 def _execute(state: MachineState, instruction, pc: int):
@@ -527,7 +539,7 @@ class ReferenceCpu:
         self.icache = DecodedICache(self.config.icache_entries, obs=self.obs)
         self.dyn = (DynamicFoldUnit(self.config.fold_policy)
                     if self.config.fold_policy.dynamic_fold else None)
-        self.pdu = PrefetchDecodeUnit(
+        self.pdu = ReferencePrefetchDecodeUnit(
             self.memory, self.icache, self.config.fold_policy,
             mem_latency=self.config.mem_latency,
             decode_latency=self.config.decode_latency,

@@ -105,6 +105,21 @@ class TestCrispSim:
         assert sim_main([asm_file, "--icache", "16",
                          "--mem-latency", "4"]) == 0
 
+    def test_cache_stats_reports_decode_memo(self, asm_file, capsys):
+        assert sim_main([asm_file, "--icache", "2", "--cache-stats"]) == 0
+        out = capsys.readouterr().out
+        line = next(line for line in out.splitlines()
+                    if line.startswith("decode memo: "))
+        fields = dict(item.split("=") for item in line.split()[2:])
+        assert set(fields) == {"hits", "decodes"}
+        assert int(fields["hits"]) > 0  # the loop outgrows 2 entries
+        assert int(fields["decodes"]) > 0
+
+    def test_cache_stats_functional_has_no_memo_line(self, asm_file,
+                                                     capsys):
+        assert sim_main([asm_file, "--functional", "--cache-stats"]) == 0
+        assert "decode memo" not in capsys.readouterr().out
+
 
 class TestCrispTrace:
     def test_capture_info_study(self, c_file, tmp_path, capsys):

@@ -10,6 +10,9 @@ Three robustness layers added alongside the dynamic_fold mode:
 * the parallel sweep runner retries a crashed worker task once in a
   fresh pool and marks persistent failures in the merged output instead
   of aborting the whole campaign.
+
+``CpuConfig`` also refuses configs the machine cannot run, naming the
+field, and the CLIs turn that into ``error: ...`` and exit 2.
 """
 
 import os
@@ -85,7 +88,72 @@ class TestWatchdog:
         assert cpu.eu.halted
 
 
+class TestConfigValidation:
+    """A config the machine cannot run is refused up front, naming the
+    field: zero latencies/depths used to spin at the entry point until
+    the watchdog fired, a non-power-of-two cache raised from inside
+    DecodedICache."""
+
+    @pytest.mark.parametrize("field, value", (
+        ("mem_latency", 0),
+        ("decode_latency", 0),
+        ("prefetch_depth", 0),
+        ("max_cycles", 0),
+        ("mem_latency", -1),
+        ("decode_latency", 1.5),
+        ("icache_entries", 12),
+        ("icache_entries", 0),
+        ("inject", "sometimes-wrong"),
+        ("fold_policy", "crisp"),
+    ))
+    def test_bad_field_is_named(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            CpuConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value", (
+        ("mem_latency", 1),
+        ("decode_latency", 1),
+        ("prefetch_depth", 1),
+        ("max_cycles", 1),
+        ("icache_entries", 1),
+        ("icache_entries", 64),
+        ("inject", "always-wrong"),
+    ))
+    def test_edge_values_accepted(self, field, value):
+        CpuConfig(**{field: value})
+
+    def test_unit_latencies_still_halt(self):
+        config = CpuConfig(mem_latency=1, decode_latency=1,
+                           prefetch_depth=1, icache_entries=1,
+                           max_cycles=200_000)
+        cpu = CrispCpu(assemble(INFINITE_LOOP.replace(
+            "cmp.u> counter, $0", "cmp.u< counter, $3")), config)
+        cpu.run()
+        assert cpu.halted
+
+
 class TestCliWiring:
+    @pytest.mark.parametrize("flags, field", (
+        (["--mem-latency", "0"], "mem_latency"),
+        (["--icache", "12"], "icache_entries"),
+    ))
+    def test_crisp_sim_rejects_bad_config(self, tmp_path, capsys,
+                                          flags, field):
+        from repro.sim.cli import main
+        path = tmp_path / "loop.s"
+        path.write_text(INFINITE_LOOP)
+        assert main([str(path), *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert field in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_crisp_obs_rejects_bad_config(self, capsys):
+        from repro.obs.cli import main
+        assert main(["run", "--workload", "figure3", "--icache", "12"]) == 2
+        assert "icache_entries" in capsys.readouterr().err
+
     def test_crisp_eval_exits_2_on_hang(self, monkeypatch, capsys):
         from repro.eval.cli import main
 

@@ -4,10 +4,15 @@ import pytest
 
 from repro.asm import assemble
 from repro.core import FoldPolicy
+from repro.core.folder import decode_entry, decode_span
+from repro.isa.encoding import EncodingError
+from repro.isa.parcels import PARCEL_BYTES
 from repro.sim import CpuConfig, CrispCpu
 from repro.sim.icache import DecodedICache
 from repro.sim.memory import Memory
 from repro.sim.pdu import PrefetchDecodeUnit
+from repro.sim.reference import ReferenceCpu, ReferencePrefetchDecodeUnit
+from repro.workloads import get_workload
 
 
 def make_pdu(source, **kwargs):
@@ -173,3 +178,228 @@ class TestEndToEndMissCosts:
         cpu = CrispCpu(assemble(source))
         cpu.run()
         assert 5 < cpu.stats.cycles < 60
+
+
+# ---- decode memo -------------------------------------------------------------
+
+ILLEGAL_PARCEL = 0x3F << 10  #: opcode index past the opcode table
+
+FOLD_PAIR = """
+    .word x, 0
+start:      add x, $1
+            jmp next
+next:       halt
+"""
+
+
+def counting_decodes(pdu):
+    """Wrap the PDU's folder so fresh decodes are counted."""
+    calls = []
+    decode = pdu.folder.decode
+
+    def counted(pc):
+        calls.append(pc)
+        return decode(pc)
+
+    pdu.folder.decode = counted
+    return calls
+
+
+class TestDecodeMemo:
+    WINDOW = PrefetchDecodeUnit.QUEUE_PARCELS
+
+    def test_validated_hit_returns_identical_entry(self):
+        pdu, _, program = make_pdu(FOLD_PAIR)
+        calls = counting_decodes(pdu)
+        pc = program.symbols["start"]
+        first = pdu._decode(pc, self.WINDOW)
+        second = pdu._decode(pc, self.WINDOW)
+        assert first.is_folded
+        assert second is first
+        assert calls == [pc]
+        assert pdu.decode_memo_hits == 1
+
+    def test_hit_still_waits_for_the_window(self):
+        pdu, _, program = make_pdu(FOLD_PAIR)
+        pc = program.symbols["start"]
+        needed = pdu.folder.parcels_needed(pc)
+        pdu._decode(pc, self.WINDOW)
+        assert pdu._decode(pc, needed - 1) is None
+        assert pdu._decode(pc, needed) is not None
+
+    def test_changed_parcel_anywhere_in_span_redecodes(self):
+        probe, _, program = make_pdu(FOLD_PAIR)
+        pc = program.symbols["start"]
+        span = decode_span(probe.memory.read_parcel,
+                           probe._decode(pc, self.WINDOW))
+        assert span == 4  # 3-parcel add + the folded jmp
+        for index in range(span):
+            pdu, _, _ = make_pdu(FOLD_PAIR)
+            calls = counting_decodes(pdu)
+            original = pdu._decode(pc, self.WINDOW)
+            address = pc + index * PARCEL_BYTES
+            pdu.memory.write_parcel(
+                address, pdu.memory.read_parcel(address) ^ 1)
+            try:
+                entry = pdu._decode(pc, self.WINDOW)
+            except EncodingError:
+                entry = None
+            assert len(calls) == 2, index
+            assert entry is not original
+            if entry is not None:
+                assert entry == decode_entry(pdu.memory.read_parcel, pc,
+                                             FoldPolicy.crisp())
+
+    def test_parcel_past_the_span_does_not_redecode(self):
+        pdu, _, program = make_pdu(FOLD_PAIR + "    nop\n")
+        calls = counting_decodes(pdu)
+        pc = program.symbols["start"]
+        entry = pdu._decode(pc, self.WINDOW)
+        end = pc + entry.length_bytes
+        pdu.memory.write_parcel(end, pdu.memory.read_parcel(end) ^ 1)
+        assert pdu._decode(pc, self.WINDOW) is entry
+        assert calls == [pc]
+
+    def test_undecodable_pc_is_not_memoized(self):
+        pdu, _, program = make_pdu(STRAIGHT)
+        pc = program.entry
+        pdu.memory.write_parcel(pc, ILLEGAL_PARCEL)
+        with pytest.raises(EncodingError):
+            pdu._decode(pc, self.WINDOW)
+        assert pc not in pdu._memo
+        pdu.demand(pc)
+        for _ in range(10):
+            pdu.tick()
+        assert pdu.decode_pc is None  # stopped, waiting for a demand
+        assert pc not in pdu._memo
+
+    def test_reference_pdu_never_memoizes(self):
+        program = assemble(FOLD_PAIR)
+        memory = Memory()
+        memory.load_program(program)
+        pdu = ReferencePrefetchDecodeUnit(memory, DecodedICache(32),
+                                          FoldPolicy.crisp())
+        calls = counting_decodes(pdu)
+        pc = program.symbols["start"]
+        assert pdu._decode(pc, self.WINDOW) == pdu._decode(pc, self.WINDOW)
+        assert calls == [pc, pc]
+        assert not pdu._memo and pdu.decode_memo_hits == 0
+
+    @pytest.mark.parametrize("policy", (
+        FoldPolicy.crisp(), FoldPolicy.none(), FoldPolicy.fold_all()))
+    def test_decode_span_matches_the_parcels_read(self, policy):
+        """decode_span names exactly the contiguous parcels decode_entry
+        reads — past the end of code too, where the follower does not
+        decode."""
+        for name in ("alternating", "dhry_like", "strings"):
+            program = get_workload(name).compiled()
+            memory = Memory()
+            memory.load_program(program)
+            last = program.addresses[-1]
+            for pc in (*program.addresses, last + 2, last + 4):
+                reads = []
+
+                def read(address):
+                    reads.append(address)
+                    return memory.read_parcel(address)
+
+                try:
+                    entry = decode_entry(read, pc, policy)
+                except EncodingError:
+                    continue
+                span = decode_span(memory.read_parcel, entry)
+                assert sorted(set(reads)) == [
+                    pc + i * PARCEL_BYTES for i in range(span)], (name, pc)
+
+
+class TestSelfModifyingCode:
+    """Patch code mid-run in both kernels: the fast kernel's decode memo
+    must notice, the reference kernel decodes afresh every time."""
+
+    # an 8-entry cache cannot hold the loop, so every iteration
+    # re-decodes (through the memo, on the fast kernel) every entry
+    LOOP = """
+        .entry start
+        .word x, 0
+        .word n, 0
+start:
+loop:   add x, $1
+        {follower}
+next:   add x, $2
+        add x, $3
+        add x, $4
+        add x, $5
+        add x, $6
+        add x, $7
+        add x, $8
+        add x, $9
+        add x, $10
+        add x, $11
+        add n, $1
+        cmp.s< n, $40
+        iftjmpy loop
+        halt
+"""
+    ORIGINAL = LOOP.format(follower="jmp next")
+
+    @staticmethod
+    def patch_between(source, replacement):
+        """The one parcel that differs between two same-layout images."""
+        before = assemble(source).parcel_image()
+        after = assemble(replacement).parcel_image()
+        assert before.keys() == after.keys()
+        changed = [address for address in before
+                   if before[address] != after[address]]
+        assert len(changed) == 1
+        (address,) = changed
+        return address, before[address], after[address]
+
+    def run_patched(self, patches):
+        """Lock-step both kernels, writing ``(cycle, address, parcel)``
+        patches into both memories at the same cycle."""
+        program = assemble(self.ORIGINAL)
+        config = CpuConfig(icache_entries=8)
+        cpus = (CrispCpu(program, config), ReferenceCpu(program, config))
+        cycle = 0
+        for at, address, parcel in patches:
+            for cpu in cpus:
+                for _ in range(at - cycle):
+                    cpu.step()
+                assert not cpu.halted
+                cpu.memory.write_parcel(address, parcel)
+            cycle = at
+        for cpu in cpus:
+            cpu.run()
+        return cpus
+
+    def assert_identical(self, fast, slow):
+        assert fast.stats.as_dict() == slow.stats.as_dict()
+        for register in ("sp", "accum", "flag", "halted"):
+            assert (getattr(fast.state, register)
+                    == getattr(slow.state, register)), register
+        assert fast.memory.snapshot() == slow.memory.snapshot()
+        assert fast.pdu.decode_memo_hits > 0
+
+    def test_patched_loop_body_parcel(self):
+        address, _, new = self.patch_between(
+            self.ORIGINAL, self.ORIGINAL.replace("add x, $5", "add x, $6"))
+        fast, slow = self.run_patched([(400, address, new)])
+        self.assert_identical(fast, slow)
+        unpatched = CrispCpu(assemble(self.ORIGINAL),
+                             CpuConfig(icache_entries=8))
+        unpatched.run()
+        assert fast.read_symbol("x") != unpatched.read_symbol("x")
+
+    def test_follower_parcel_folds_and_unfolds(self):
+        address, old, new = self.patch_between(
+            self.ORIGINAL, self.LOOP.format(follower="nop"))
+        fast, slow = self.run_patched([(400, address, new),
+                                       (900, address, old)])
+        self.assert_identical(fast, slow)
+        unpatched = CrispCpu(assemble(self.ORIGINAL),
+                             CpuConfig(icache_entries=8))
+        unpatched.run()
+        # while the nop stood there, nothing folded into the first add
+        assert (fast.stats.folded_branches
+                < unpatched.stats.folded_branches)
+        assert fast.stats.folded_branches > 0
