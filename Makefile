@@ -3,9 +3,9 @@
 PYTHON ?= python
 
 .PHONY: install test bench bench-throughput bench-blockspec \
-	bench-batched eval report examples obs obs-overhead \
+	eval report examples obs obs-overhead \
 	campaign-overhead gate annotate trend fuzz fuzz-inject \
-	fuzz-engines fuzz-batched clean
+	fuzz-engines clean
 
 install:
 	pip install -e .
@@ -44,10 +44,6 @@ bench-blockspec:
 	$(PYTHON) -m pytest benchmarks/bench_sim_throughput.py -q -s \
 		-k blockspec
 
-bench-batched:
-	$(PYTHON) -m pytest benchmarks/bench_sim_throughput.py -q -s \
-		-k batched
-
 gate:
 	$(PYTHON) -m repro.obs.cli gate --baseline BENCH_obs_baseline.json \
 		--threshold 2% --update-trajectory BENCH_table4_trajectory.json
@@ -67,17 +63,10 @@ fuzz-inject:
 		--inject always-wrong --coverage-out fuzz_coverage_inject.json \
 		--campaign-out fuzz_campaign_inject
 
-# 5-way differential: oracle / reference / fast / blockspec / batched
+# 4-way differential: oracle / reference / fast / blockspec
 fuzz-engines:
 	$(PYTHON) -m repro.verify.cli fuzz --seed 2 --budget 60 --jobs 0 \
 		--engine all --coverage-out fuzz_coverage_engines.json
-
-# lock-step campaign scheduler: serial on purpose, so all tasks' batched
-# arms pool into one BatchedSimulator (identical programs share cohorts)
-fuzz-batched:
-	$(PYTHON) -m repro.verify.cli fuzz --seed 0 --budget 45 \
-		--engine batched --coverage-out fuzz_coverage_batched.json \
-		--campaign-out fuzz_campaign_batched
 
 examples:
 	@for example in examples/*.py; do \
@@ -90,11 +79,9 @@ clean:
 	rm -rf .pytest_cache .benchmarks build *.egg-info
 	rm -f obs_trace.json obs_run.json obs_metrics.jsonl \
 		fuzz_coverage.json fuzz_coverage_inject.json \
-		fuzz_coverage_engines.json fuzz_coverage_batched.json \
+		fuzz_coverage_engines.json \
 		fuzz_campaign.json fuzz_campaign.jsonl fuzz_campaign_trace.json \
 		fuzz_campaign_inject.json fuzz_campaign_inject.jsonl \
 		fuzz_campaign_inject_trace.json \
-		fuzz_campaign_batched.json fuzz_campaign_batched.jsonl \
-		fuzz_campaign_batched_trace.json \
 		fuzz_campaign_report.md fuzz_campaign_inject_report.md \
-		fuzz_campaign_batched_report.md trend_report.md
+		trend_report.md

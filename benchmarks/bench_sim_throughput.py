@@ -1,6 +1,6 @@
 """Guard: the fast dispatch kernel actually is fast.
 
-Five arms, all simulating Table-4 case E (spreading + prediction, no
+Four arms, all simulating Table-4 case E (spreading + prediction, no
 folding — the heaviest EU-side case):
 
 * **reference** — :mod:`repro.sim.reference`, the retained pre-PR
@@ -11,14 +11,9 @@ folding — the heaviest EU-side case):
 * **instrumented** — the production kernel on a default live bus;
 * **blockspec** — the block-specializing trace tier
   (:mod:`repro.sim.blockspec`): hot steady-state loops JIT-compiled to
-  generated Python, deopting to the fast kernel everywhere else;
-* **batched** — the lock-step campaign tier
-  (:mod:`repro.sim.batched`): a ``BATCH_INSTANCES``-wide case-E batch,
-  measured in *aggregate* simulated cycles per second (cohort sharing
-  means identical instances cost one leader run plus array
-  broadcasts — the campaign-scale win the tier exists for).
+  generated Python, deopting to the fast kernel everywhere else.
 
-A sixth measurement leaves case E: the **miss-heavy** arm runs
+A fifth measurement leaves case E: the **miss-heavy** arm runs
 ``dhry_like`` at the default config, where a third of the cycles miss
 the 32-entry decoded cache and PDU decodes dominate host time. It
 times the fast and reference kernels with a fresh machine per
@@ -26,10 +21,8 @@ repetition, so the fast kernel's per-machine decode memo starts empty
 every time (distinct work, not a replay). Its bar is ``fast >= 3 x
 reference``.
 
-The acceptance bars are ``fast >= 2.5 x reference``, ``blockspec >=
-2.0 x fast`` and ``batched aggregate >= 4 x fast`` in cycles/sec (the
-committed baseline records well above 10x for the batched arm; the CI
-floor leaves headroom for slow runners). The parallel runner has a
+The acceptance bars are ``fast >= 2.5 x reference`` and ``blockspec >=
+2.0 x fast`` in cycles/sec. The parallel runner has a
 further bar — ``--jobs 4`` sweep wall-clock at least 2x the serial
 path — which only makes sense on a multi-core host and is skipped
 elsewhere; its *correctness* half (byte-identical Table-4 JSON) runs
@@ -65,12 +58,10 @@ SMOKE = os.environ.get("BENCH_SMOKE") == "1"
 REPETITIONS = 2 if SMOKE else 3
 MIN_KERNEL_SPEEDUP = 2.5
 MIN_BLOCKSPEC_SPEEDUP = 2.0
-MIN_BATCHED_SPEEDUP = 4.0
 MIN_PARALLEL_SPEEDUP = 2.0
 MIN_MISS_HEAVY_SPEEDUP = 3.0
 MISS_HEAVY_WORKLOAD = "dhry_like"
 PARALLEL_JOBS = 4
-BATCH_INSTANCES = 256  #: batch width for the batched-tier arm
 
 CASE_E = next(case for case in CASE_DEFINITIONS if case.name == "E")
 
@@ -92,30 +83,8 @@ def _cycles_per_sec(run, repetitions: int = REPETITIONS) -> float:
     return cycles / best
 
 
-def measure_batched_throughput() -> float:
-    """Aggregate cycles/sec of a ``BATCH_INSTANCES``-wide case-E batch.
-
-    Every instance's simulated cycles count toward the numerator — the
-    campaign-scale metric a 256-seed sweep experiences — while the
-    denominator is one lock-step wall-clock pass over the whole batch.
-    """
-    from repro.sim.batched import BatchItem, run_batch
-
-    program, config = _case_e()
-    items = [BatchItem(program, config) for _ in range(BATCH_INSTANCES)]
-    run_batch(items)  # warm: progcache + pre-decode, like the other arms
-    best = float("inf")
-    aggregate = 0
-    for _ in range(REPETITIONS):
-        start = time.perf_counter()
-        result = run_batch(items)
-        best = min(best, time.perf_counter() - start)
-        aggregate = result.aggregate_cycles
-    return aggregate / best
-
-
 def measure_throughput() -> dict[str, float]:
-    """cycles/sec for the five arms on Table-4 case E."""
+    """cycles/sec for the four arms on Table-4 case E."""
     program, config = _case_e()
     bconfig = dataclasses.replace(config, engine="blockspec")
     arms = {
@@ -128,9 +97,7 @@ def measure_throughput() -> dict[str, float]:
     }
     for run in arms.values():  # warm every arm once (incl. trace JIT)
         run()
-    results = {name: _cycles_per_sec(run) for name, run in arms.items()}
-    results["batched"] = measure_batched_throughput()
-    return results
+    return {name: _cycles_per_sec(run) for name, run in arms.items()}
 
 
 def measure_miss_heavy() -> dict[str, float]:
@@ -212,36 +179,6 @@ def test_blockspec_tier_speedup():
     assert speedup >= MIN_BLOCKSPEC_SPEEDUP, (
         f"blockspec tier is only {speedup:.2f}x the fast kernel "
         f"(floor {MIN_BLOCKSPEC_SPEEDUP:.1f}x)")
-
-
-def test_batched_tier_speedup():
-    """The lock-step tier must deliver the campaign-scale win: the
-    256-instance batch's aggregate throughput at least 4x one fast
-    kernel, with every instance bit-identical to a fast run."""
-    from repro.sim.batched import BatchItem, run_batch
-
-    program, config = _case_e()
-    fast = run_cycle_accurate(program, config,
-                              obs=EventBus(enabled=False))
-    result = run_batch([BatchItem(program, config)
-                        for _ in range(BATCH_INSTANCES)])
-    assert len(result.instances) == BATCH_INSTANCES
-    assert result.cohorts == 1  # identical instances share one leader
-    for inst in result.instances:
-        assert inst.stats.as_dict() == fast.stats.as_dict()
-
-    fast_cps = _cycles_per_sec(lambda: run_cycle_accurate(
-        program, config, obs=EventBus(enabled=False)))
-    batched_cps = measure_batched_throughput()
-    speedup = batched_cps / fast_cps
-    print(f"\n  fast          {fast_cps:>12,.0f} cyc/s")
-    print(f"  batched       {batched_cps:>12,.0f} cyc/s aggregate "
-          f"({BATCH_INSTANCES} instances)")
-    print(f"  speedup       {speedup:>12.2f}x  "
-          f"(floor {MIN_BATCHED_SPEEDUP:.1f}x)")
-    assert speedup >= MIN_BATCHED_SPEEDUP, (
-        f"batched tier aggregate is only {speedup:.2f}x the fast "
-        f"kernel (floor {MIN_BATCHED_SPEEDUP:.1f}x)")
 
 
 def test_miss_heavy_decode_memo_speedup():
@@ -335,14 +272,6 @@ def baseline_document() -> dict:
                   "bench": "sim_throughput"},
         "metrics": {"speedup": round(
             results["blockspec"] / results["fast"], 3)},
-    })
-    cases.append({
-        "workload": "table4/case_E/batched_speedup",
-        "extra": {"case": "throughput_batched_speedup",
-                  "bench": "sim_throughput",
-                  "batch_instances": BATCH_INSTANCES},
-        "metrics": {"speedup": round(
-            results["batched"] / results["fast"], 3)},
     })
     miss_heavy = measure_miss_heavy()
     cases += [{

@@ -36,13 +36,12 @@ def main(argv: list[str] | None = None) -> int:
                              "0 = one per CPU. Output is byte-identical "
                              "to a serial run")
     parser.add_argument("--engine",
-                        choices=("fast", "blockspec", "batched"),
+                        choices=("fast", "blockspec"),
                         default="fast",
                         help="simulation tier for table4/dynfold "
                              "(blockspec JITs hot traces to generated "
-                             "Python, batched runs the lock-step "
-                             "campaign tier; exhibits are byte-"
-                             "identical across all tiers)")
+                             "Python; exhibits are byte-identical "
+                             "across tiers)")
     parser.add_argument("--campaign-out", metavar="PREFIX", default=None,
                         help="record campaign telemetry for multi-"
                              "simulation exhibits (table4, dynfold): "

@@ -84,47 +84,18 @@ def run_grid(workloads: Iterable[str],
     the sweep is identical to a serial run point for point. ``seed``
     feeds synthetic (``gen_*``) workload generation — carried inside
     each task, so parallel workers regenerate the exact programs the
-    serial path compiles. ``engine`` selects the simulation tier for
-    every point (stats are bit-identical across tiers).
+    serial path compiles. ``engine`` selects the simulation tier
+    ("fast" or "blockspec") for every point; stats are bit-identical
+    across tiers.
     """
-    from repro.eval.parallel import SweepTask, effective_jobs, \
-        run_sweep_tasks
+    from repro.eval.parallel import SweepTask, run_sweep_tasks
     if engine != "fast":
         configs = {label: dataclasses.replace(config, engine=engine)
                    for label, config in configs.items()}
     tasks = [SweepTask(workload, label, config, spreading, seed)
              for workload in workloads
              for label, config in configs.items()]
-    if engine == "batched" and effective_jobs(jobs) == 1:
-        # the lock-step grid: all points advance through one
-        # BatchedSimulator (identical (program, config) points share a
-        # cohort); bit-identical to per-point runs, so indistinguishable
-        # from the serial and --jobs paths in the resulting Sweep
-        return Sweep(points=_run_grid_batched(tasks))
     return Sweep(points=run_sweep_tasks(tasks, jobs))
-
-
-def _run_grid_batched(tasks) -> list[SweepPoint]:
-    """Run a grid's points as one lock-step batch (serial scheduler)."""
-    from repro.sim.batched import BatchItem, run_batch
-    from repro.workloads import resolve_source
-
-    items = []
-    for task in tasks:
-        source = resolve_source(task.workload, task.seed)
-        program = compile_cached(source,
-                                 CompilerOptions(spreading=task.spreading))
-        items.append(BatchItem(program, task.config))
-    result = run_batch(items)
-    by_index = {inst.index: inst for inst in result.instances}
-    points = []
-    for index, task in enumerate(tasks):
-        inst = by_index[index]
-        if inst.error is not None:
-            raise inst.error
-        points.append(SweepPoint(task.workload, task.label, task.config,
-                                 inst.stats))
-    return points
 
 
 def icache_sweep(workloads: Iterable[str],

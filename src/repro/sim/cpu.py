@@ -46,12 +46,10 @@ class CpuConfig:
     #: fault injection mode (None or "always-wrong"); see
     #: :mod:`repro.sim.dynfold`
     inject: str | None = None
-    #: execution engine tier: "fast" (per-cycle kernel), "blockspec"
+    #: execution engine tier: "fast" (per-cycle kernel) or "blockspec"
     #: (trace-compiled hot loops; falls back to the per-cycle kernel
-    #: outside steady state and entirely under dynamic-fold policies) or
-    #: "batched" (the lock-step campaign tier's quantum-sliced loop;
-    #: same dynamic-fold fallback) — all bit-identical in results; see
-    #: :mod:`repro.sim.blockspec` and :mod:`repro.sim.batched`
+    #: outside steady state and entirely under dynamic-fold policies) —
+    #: bit-identical in results; see :mod:`repro.sim.blockspec`
     engine: str = "fast"
 
     def __post_init__(self) -> None:
@@ -77,7 +75,7 @@ class CpuConfig:
             raise ValueError(
                 f"inject must be one of {(None, *INJECT_MODES)}, "
                 f"got {self.inject!r}")
-        if self.engine not in ("fast", "blockspec", "batched"):
+        if self.engine not in ("fast", "blockspec"):
             raise ValueError(f"unknown engine {self.engine!r}")
 
 
@@ -193,12 +191,6 @@ class CrispCpu:
             # them through the per-cycle loop keeps --engine trivially
             # bit-identical across the whole config space
             return self._run_blockspec(limit)
-        if self.config.engine == "batched" and self.dyn is None:
-            # the lock-step campaign tier's single-instance loop; the
-            # dynamic-fold fallback mirrors blockspec (shadow records
-            # are per-run predictor state the common path refuses)
-            from repro.sim.batched import run_single
-            return run_single(self, limit)
         eu = self.eu
         step = self.step
         for _ in range(limit):

@@ -5,13 +5,8 @@ Subcommands:
 ``fuzz``
     Generate programs and run the 3-way differential check
     (fast kernel vs reference kernel vs architectural oracle) on each;
-    ``--engine blockspec``/``--engine batched`` widen it to 4-way by
-    adding that tier as a bitwise arm; ``--engine all`` runs the full
-    5-way matrix. With the batched arm in play and no worker pool, the
-    whole round's batched regimes run through **one** lock-step
-    :class:`~repro.sim.batched.BatchedSimulator` (identical programs
-    collapse into shared cohorts) — reports stay byte-identical to
-    per-task execution. Coverage is reported per engine arm.
+    ``--engine blockspec`` (or ``all``) widens it to 4-way by adding the
+    blockspec tier as a bitwise arm. Coverage is reported per engine arm.
     Stops after ``--programs`` N, or at ``--target-coverage`` F, or at a
     ``--budget`` wall-clock limit (CI mode; program count then depends
     on machine speed, everything else stays seed-deterministic).
@@ -48,7 +43,7 @@ from pathlib import Path
 
 from repro.asm.assembler import AssemblyError, assemble
 from repro.core.policy import FoldPolicy
-from repro.eval.parallel import TaskFailure, effective_jobs, map_ordered
+from repro.eval.parallel import TaskFailure, map_ordered
 from repro.sim.dynfold import INJECT_MODES
 from repro.verify.coverage import CoverageMap, total_reachable
 from repro.verify.generator import PROFILES, generate_source
@@ -60,7 +55,6 @@ from repro.verify.runner import (
     program_parcels,
     run_differential,
     run_fuzz_task,
-    run_fuzz_tasks_batched,
 )
 from repro.verify.shrink import shrink_source
 
@@ -89,25 +83,15 @@ def _tasks(seed: int, start: int, count: int, profiles: list[str],
             for index in range(start, start + count)]
 
 
-def _task_engine(choice: str) -> str:
-    """CLI ``--engine`` value -> per-task engine matrix key.
-
-    Every choice names a :data:`~repro.verify.runner.ENGINE_MATRIX`
-    row; each extra arm is always compared *against* the fast kernel,
-    so there is no standalone-blockspec or standalone-batched mode.
-    """
-    return choice
-
-
 class _EngineCoverage:
     """Per-engine cell tallies: what each arm of the matrix compared.
 
     Every cell a task reaches is compared on every arm of its matrix —
-    under dynamic-fold policies the blockspec/batched tiers fall back
-    to the per-cycle loop, but the arm still runs and is still checked
+    under dynamic-fold policies the blockspec tier falls back to the
+    per-cycle loop, but the arm still runs and is still checked
     bitwise. The *native* subset excludes those fallback policies, so
-    a hole in a tier's own machinery (traces, lock-step cohorts) can't
-    hide behind the fallback path's share of the total.
+    a hole in the tier's own machinery (traces) can't hide behind the
+    fallback path's share of the total.
     """
 
     def __init__(self, engines: tuple[str, ...]) -> None:
@@ -185,13 +169,8 @@ def _shrink_and_save(report: ProgramReport, corpus_dir: Path) -> Path:
 
 def cmd_fuzz(args: argparse.Namespace) -> int:
     profiles = args.profile or list(PROFILES)
-    matrix = ENGINE_MATRIX[_task_engine(args.engine)]
-    # the lock-step scheduler is serial by construction; with a worker
-    # pool each task runs its own two-instance batches instead (the
-    # reports are byte-identical either way)
-    lockstep = "batched" in matrix and effective_jobs(args.jobs) == 1
     coverage = CoverageMap()
-    engine_cover = _EngineCoverage(matrix)
+    engine_cover = _EngineCoverage(ENGINE_MATRIX[args.engine])
     failures: list[ProgramReport] = []
     lost: list[TaskFailure] = []
     ran = 0
@@ -236,21 +215,10 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         batch = _tasks(args.seed, ran, count, profiles,
                        stress=not args.no_stress,
                        dyn_mix=dyn_mix, inject=args.inject,
-                       engine=_task_engine(args.engine))
-        if lockstep:
-            reports, lockstep_result = run_fuzz_tasks_batched(batch)
-            if recorder is not None:
-                recorder.note(
-                    "batched",
-                    instances=lockstep_result.arrays.size,
-                    cohorts=lockstep_result.cohorts,
-                    supersteps=lockstep_result.supersteps,
-                    shared_cycles=lockstep_result.shared_cycles,
-                    peeled=lockstep_result.peeled)
-        else:
-            reports = map_ordered(
-                run_fuzz_task, batch, jobs=args.jobs, recorder=recorder,
-                labeler=lambda task: f"fuzz/{task.profile}/{task.seed}")
+                       engine=args.engine)
+        reports = map_ordered(
+            run_fuzz_task, batch, jobs=args.jobs, recorder=recorder,
+            labeler=lambda task: f"fuzz/{task.profile}/{task.seed}")
         for report in reports:
             if isinstance(report, TaskFailure):
                 # A worker crashed (twice) on this task; the campaign
@@ -280,7 +248,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
             while time.monotonic() < deadline and ran < args.max_programs:
                 run_batch(min(_BATCH, args.max_programs - ran))
         else:
-            # batched (identical task list to a single call — tasks are
+            # in rounds (identical task list to a single call — tasks are
             # generated by absolute index) so heartbeats appear live
             while ran < args.programs:
                 run_batch(min(_BATCH, args.programs - ran))
@@ -351,7 +319,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
         mismatches, oracle = run_differential(
             program, _confidence_policy(args.dyn_confidence),
             stress=not args.no_stress, inject=args.inject,
-            engines=ENGINE_MATRIX[_task_engine(args.engine)])
+            engines=ENGINE_MATRIX[args.engine])
         if mismatches:
             print(f"{name}: DISAGREE ({len(mismatches)} mismatches)")
             for line in mismatches:
@@ -377,7 +345,7 @@ def cmd_coverage(args: argparse.Namespace) -> int:
     else:
         dyn_mix = _DYN_MIX
     coverage = CoverageMap()
-    engine_cover = _EngineCoverage(ENGINE_MATRIX[_task_engine(args.engine)])
+    engine_cover = _EngineCoverage(ENGINE_MATRIX[args.engine])
     for index in range(args.programs):
         seed = args.seed * 1_000_003 + index
         profile = profiles[index % len(profiles)]
@@ -448,11 +416,10 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument("--inject", choices=INJECT_MODES, default=None,
                       help="misprediction fault injection in both kernels")
     fuzz.add_argument("--engine",
-                      choices=("fast", "blockspec", "batched", "all"),
+                      choices=("fast", "blockspec", "all"),
                       default="fast",
-                      help="engine matrix: 'blockspec'/'batched' add "
-                           "that tier as a fourth bitwise arm, 'all' "
-                           "runs the 5-way matrix")
+                      help="engine matrix: 'blockspec' (or 'all') adds "
+                           "that tier as a fourth bitwise arm")
     fuzz.add_argument("--campaign-out", metavar="PREFIX", default=None,
                       help="record campaign telemetry: PREFIX.json "
                            "(manifest), PREFIX.jsonl (live stream for "
@@ -472,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="replay under FoldPolicy.dynamic(N)")
     replay.add_argument("--inject", choices=INJECT_MODES, default=None)
     replay.add_argument("--engine",
-                        choices=("fast", "blockspec", "batched", "all"),
+                        choices=("fast", "blockspec", "all"),
                         default="fast",
                         help="as for fuzz: widen the engine matrix")
     replay.set_defaults(func=cmd_replay)
@@ -485,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="N",
                        help="as for fuzz: pin the fold-policy mix")
     cover.add_argument("--engine",
-                       choices=("fast", "blockspec", "batched", "all"),
+                       choices=("fast", "blockspec", "all"),
                        default="fast",
                        help="engine matrix to break the cell tallies "
                             "down over (one line per arm, with the "

@@ -1,13 +1,7 @@
 """Differential execution: fast kernel vs reference vs oracle — and,
 with ``engines=("fast", "blockspec")``, a fourth arm running the
 trace-compiled blockspec tier (see :mod:`repro.sim.blockspec`), which
-must be bitwise identical to the fast kernel in every regime. Adding
-``"batched"`` widens the matrix again (5-way with both): the lock-step
-campaign tier (see :mod:`repro.sim.batched`) runs each regime as a
-two-instance batch — one cohort leader plus one replicated follower,
-so both the leader path and the follower finalization are compared
-bitwise against the fast kernel on arch state, ``ExecutionStats``,
-``PipelineStats`` and the attribution table.
+must be bitwise identical to the fast kernel in every regime.
 
 Two comparison regimes are run per program:
 
@@ -63,12 +57,11 @@ _EXEC_ERRORS = (SimulationError, ZeroDivisionError)
 
 #: CLI/task ``engine`` choice -> the engine arms a differential runs.
 #: Every non-fast arm is compared *against* the fast kernel, so "fast"
-#: is always present; "all" is the full 5-way matrix.
+#: is always present; "all" is the full 4-way matrix.
 ENGINE_MATRIX: dict[str, tuple[str, ...]] = {
     "fast": ("fast",),
     "blockspec": ("fast", "blockspec"),
-    "batched": ("fast", "batched"),
-    "all": ("fast", "blockspec", "batched"),
+    "all": ("fast", "blockspec"),
 }
 
 
@@ -167,84 +160,23 @@ def check_nextpc_invariants(program: Program,
     return problems
 
 
-def _compare_kernels(label: str, fast: CrispCpu, ref: ReferenceCpu,
-                     out: list[str]) -> None:
-    fast_stats = fast.stats.as_dict()
-    ref_stats = ref.stats.as_dict()
-    if fast_stats != ref_stats:
-        keys = sorted(set(fast_stats) | set(ref_stats))
-        for key in keys:
-            a, b = fast_stats.get(key), ref_stats.get(key)
-            if a != b:
-                out.append(f"{label} stats.{key}: fast {a} != reference {b}")
-    if fast.memory.snapshot() != ref.memory.snapshot():
-        out.append(f"{label} memory: fast != reference")
-    for attr in ("accum", "flag", "sp"):
-        a, b = getattr(fast.state, attr), getattr(ref.state, attr)
-        if a != b:
-            out.append(f"{label} state.{attr}: fast {a} != reference {b}")
-
-
-def _compare_engines(label: str, fast: CrispCpu, other: CrispCpu,
-                     out: list[str]) -> None:
-    """Bitwise fast-vs-blockspec comparison: full stats + arch state."""
+def _compare_runs(label: str, fast: CrispCpu,
+                  other: CrispCpu | ReferenceCpu, name: str,
+                  out: list[str]) -> None:
+    """Bitwise fast-vs-``name`` comparison: full stats + arch state."""
     fast_stats = fast.stats.as_dict()
     other_stats = other.stats.as_dict()
     if fast_stats != other_stats:
         for key in sorted(set(fast_stats) | set(other_stats)):
             a, b = fast_stats.get(key), other_stats.get(key)
             if a != b:
-                out.append(f"{label} stats.{key}: fast {a} != blockspec {b}")
+                out.append(f"{label} stats.{key}: fast {a} != {name} {b}")
     if fast.memory.snapshot() != other.memory.snapshot():
-        out.append(f"{label} memory: fast != blockspec")
+        out.append(f"{label} memory: fast != {name}")
     for attr in ("accum", "flag", "sp"):
         a, b = getattr(fast.state, attr), getattr(other.state, attr)
         if a != b:
-            out.append(f"{label} state.{attr}: fast {a} != blockspec {b}")
-
-
-def _batched_instances(program: Program, config: CpuConfig, *,
-                       warm: bool, max_cycles: int) -> list:
-    """Run one regime as a two-instance lock-step batch.
-
-    Duplicating the item puts a cohort follower behind the leader, so
-    the comparison exercises both the lock-step execution path and the
-    bit-identical follower finalization (under peel-off configs —
-    injection, dynamic fold — both instances finalize individually,
-    which checks that path instead).
-    """
-    from repro.sim.batched import BatchItem, run_batch
-
-    item = BatchItem(program, config, max_cycles=max_cycles, warm=warm)
-    return run_batch([item, item]).instances
-
-
-def _compare_batched(label: str, fast: CrispCpu, instances: list,
-                     out: list[str]) -> None:
-    """Bitwise fast-vs-batched comparison over every batch instance."""
-    fast_stats = fast.stats.as_dict()
-    fast_memory = fast.memory.snapshot()
-    for inst in instances:
-        who = ("batched" if inst.shared_with is None
-               else "batched-follower")
-        if inst.error is not None:
-            out.append(f"{label} {who} failed: {inst.error}")
-            continue
-        stats = inst.stats.as_dict()
-        if stats != fast_stats:
-            for key in sorted(set(stats) | set(fast_stats)):
-                a, b = fast_stats.get(key), stats.get(key)
-                if a != b:
-                    out.append(f"{label} stats.{key}: fast {a} != "
-                               f"{who} {b}")
-        if inst.memory != fast_memory:
-            out.append(f"{label} memory: fast != {who}")
-        for attr, value in (("accum", inst.accum), ("flag", inst.flag),
-                            ("sp", inst.sp)):
-            want = getattr(fast.state, attr)
-            if want != value:
-                out.append(f"{label} state.{attr}: fast {want} != "
-                           f"{who} {value}")
+            out.append(f"{label} state.{attr}: fast {a} != {name} {b}")
 
 
 def _compare_arch(label: str, fast: CrispCpu,
@@ -267,7 +199,6 @@ def run_differential(program: Program,
                      max_cycles: int = 5_000_000,
                      inject: str | None = None,
                      engines: tuple[str, ...] = ("fast",),
-                     batched_results: dict[str, list] | None = None,
                      ) -> tuple[list[str], OracleResult | None]:
     """Run all three implementations; return (mismatches, oracle result).
 
@@ -291,20 +222,11 @@ def run_differential(program: Program,
     kernel — full ``PipelineStats``, attribution table, every memory
     byte. (Under dynamic-fold policies the blockspec engine falls back
     to the per-cycle loop, so the check is exercised across the whole
-    policy mix either way.) ``"batched"`` adds the lock-step campaign
-    tier the same way: each regime runs as a leader+follower batch
-    (:mod:`repro.sim.batched`) checked bitwise instance by instance,
-    plus an ``engine="batched"`` attribution run compared table for
-    table. ``batched_results`` lets a campaign scheduler inject
-    pre-computed batch instances per regime (``{"ideal": [...],
-    "stress": [...]}``) instead of running them inline — the results
-    are bit-identical either way, so reports don't depend on which
-    path produced them.
+    policy mix either way.)
     """
     if policy is None:
         policy = FoldPolicy.crisp()
     blockspec = "blockspec" in engines
-    batched = "batched" in engines
     mismatches: list[str] = []
 
     oracle: OracleResult | None = None
@@ -335,7 +257,7 @@ def run_differential(program: Program,
     except _EXEC_ERRORS as exc:
         return [f"ideal reference kernel failed: {exc}"], oracle
 
-    _compare_kernels("ideal", fast, ref, mismatches)
+    _compare_runs("ideal", fast, ref, "reference", mismatches)
     fast_stats = fast.stats.as_dict()
     if inject is None:
         for key, want in oracle.timing_dict().items():
@@ -371,15 +293,7 @@ def run_differential(program: Program,
         except _EXEC_ERRORS as exc:
             mismatches.append(f"ideal blockspec kernel failed: {exc}")
         else:
-            _compare_engines("ideal", fast, bcpu, mismatches)
-
-    if batched:
-        instances = (batched_results.get("ideal")
-                     if batched_results is not None else None)
-        if instances is None:
-            instances = _batched_instances(
-                program, config, warm=True, max_cycles=max_cycles)
-        _compare_batched("ideal", fast, instances, mismatches)
+            _compare_runs("ideal", fast, bcpu, "blockspec", mismatches)
 
     mismatches.extend(check_nextpc_invariants(program, policy))
 
@@ -401,19 +315,6 @@ def run_differential(program: Program,
             if btable.as_dict() != table.as_dict():
                 mismatches.append(
                     "attribution table: fast != blockspec")
-        if batched:
-            # the batched tier's quantum-sliced loop steps through the
-            # same probes, so an instrumented run must attribute every
-            # event to the same sites with the same counts
-            qcpu, qtable = attribute_run(
-                program, dataclasses.replace(config, engine="batched"),
-                max_cycles=max_cycles)
-            mismatches.extend(
-                f"batched attribution: {problem}"
-                for problem in qtable.reconcile(qcpu.stats))
-            if qtable.as_dict() != table.as_dict():
-                mismatches.append(
-                    "attribution table: fast != batched")
 
     if stress:
         sconfig = stress_config(policy, inject=inject)
@@ -425,7 +326,7 @@ def run_differential(program: Program,
         except _EXEC_ERRORS as exc:
             mismatches.append(f"stress kernel failed: {exc}")
         else:
-            _compare_kernels("stress", sfast, sref, mismatches)
+            _compare_runs("stress", sfast, sref, "reference", mismatches)
             sstats = sfast.stats.as_dict()
             for key in ("issued_instructions", "executed_instructions",
                         "folded_branches"):
@@ -444,15 +345,8 @@ def run_differential(program: Program,
                     mismatches.append(
                         f"stress blockspec kernel failed: {exc}")
                 else:
-                    _compare_engines("stress", sfast, sbcpu, mismatches)
-            if batched:
-                instances = (batched_results.get("stress")
-                             if batched_results is not None else None)
-                if instances is None:
-                    instances = _batched_instances(
-                        program, sconfig, warm=False,
-                        max_cycles=max_cycles)
-                _compare_batched("stress", sfast, instances, mismatches)
+                    _compare_runs("stress", sfast, sbcpu, "blockspec",
+                                  mismatches)
 
     return mismatches, oracle
 
@@ -472,8 +366,7 @@ class FuzzTask:
     dyn_confidence: int | None = None
     inject: str | None = None  #: misprediction fault-injection mode
     #: :data:`ENGINE_MATRIX` key: "fast" = the 3-way check,
-    #: "blockspec"/"batched" add that tier as a fourth bitwise arm,
-    #: "all" runs the full 5-way matrix
+    #: "blockspec"/"all" add that tier as a fourth bitwise arm
     engine: str = "fast"
 
 
@@ -544,74 +437,3 @@ def _task_report(task: FuzzTask, program: Program, source: str,
     if mismatches:
         report.source = source
     return report
-
-
-def run_fuzz_tasks_batched(tasks: list[FuzzTask]):
-    """Run a round of fuzz tasks with their batched arms in lock-step.
-
-    The per-task path (:func:`run_fuzz_task` with ``"batched"`` in the
-    matrix) runs a private two-instance batch per regime. This serial
-    scheduler instead *generates every program up front*, pools all
-    tasks' ideal- and stress-regime instances into **one**
-    :class:`~repro.sim.batched.BatchedSimulator` — so identical
-    programs across tasks collapse into shared cohorts — and then runs
-    each task's differential with the pre-computed instances injected
-    via ``batched_results``. Batch instances are bit-identical to
-    inline ones, so the returned reports are byte-identical to
-    per-task execution (serial or ``--jobs N``).
-
-    Returns ``(reports, batch_result)`` — the latter carries the
-    lock-step telemetry (cohorts, supersteps, shared cycles) for the
-    campaign recorder.
-    """
-    from repro.obs.spans import span
-    from repro.sim.batched import BatchItem, run_batch
-
-    prepared: list[tuple[FuzzTask, str, Program | None, str | None]] = []
-    items: list[BatchItem] = []
-    slots: list[dict[str, tuple[int, int]] | None] = []
-    for task in tasks:
-        with span("generate", seed=task.seed, profile=task.profile):
-            source = generate_source(task.seed, task.profile)
-            try:
-                program = assemble(source)
-            except AssemblyError as exc:
-                prepared.append((task, source, None, f"assemble: {exc}"))
-                slots.append(None)
-                continue
-        policy = task_policy(task)
-        regimes: dict[str, tuple[int, int]] = {}
-        ideal = BatchItem(program,
-                          ideal_config(program, policy, inject=task.inject),
-                          max_cycles=5_000_000, warm=True)
-        regimes["ideal"] = (len(items), len(items) + 1)
-        items.extend((ideal, ideal))
-        if task.stress:
-            stress = BatchItem(program,
-                               stress_config(policy, inject=task.inject),
-                               max_cycles=5_000_000, warm=False)
-            regimes["stress"] = (len(items), len(items) + 1)
-            items.extend((stress, stress))
-        prepared.append((task, source, program, None))
-        slots.append(regimes)
-
-    batch = run_batch(items)
-    by_index = {inst.index: inst for inst in batch.instances}
-    reports: list[ProgramReport] = []
-    for (task, source, program, problem), regimes in zip(prepared, slots):
-        if program is None:
-            reports.append(ProgramReport(task.seed, task.profile, ok=False,
-                                         mismatches=[problem],
-                                         source=source))
-            continue
-        assert regimes is not None
-        injected = {name: [by_index[first], by_index[second]]
-                    for name, (first, second) in regimes.items()}
-        with span("differential", seed=task.seed):
-            mismatches, oracle = run_differential(
-                program, task_policy(task), stress=task.stress,
-                inject=task.inject, engines=ENGINE_MATRIX[task.engine],
-                batched_results=injected)
-        reports.append(_task_report(task, program, source, mismatches,
-                                    oracle))
-    return reports, batch

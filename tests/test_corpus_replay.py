@@ -4,8 +4,8 @@ The corpus holds hand-written regression programs plus shrinker-minimized
 repros from past (or injected) kernel bugs; each must keep assembling and
 keep all three implementations — fast kernel, reference kernel,
 architectural oracle — in full agreement, in both the ideal-cache and
-cold-cache stress regimes. A second pass replays every program with the
-lock-step batched arm added to the engine matrix.
+cold-cache stress regimes. The hot-loop program is also replayed under
+fault injection with the blockspec arm added to the engine matrix.
 """
 
 from pathlib import Path
@@ -32,26 +32,13 @@ def test_three_way_agreement(path):
     assert oracle is not None and oracle.halted
 
 
-@pytest.mark.parametrize("path", CORPUS_FILES,
-                         ids=[p.stem for p in CORPUS_FILES])
-def test_batched_arm_agreement(path):
-    """Every corpus program through the lock-step batched arm: the
-    batched tier runs each regime as a two-instance batch (leader +
-    follower), so this also re-checks cohort replication per program."""
-    program = assemble(path.read_text())
-    mismatches, oracle = run_differential(program,
-                                          engines=("fast", "batched"))
-    assert mismatches == []
-    assert oracle is not None and oracle.halted
-
-
-def test_hot_loop_injection_through_batched_arm():
-    """``branch_hot_loop.s`` under forced mispredictions: injection
-    configs peel off the lock-step common path, and the peeled
-    individual run must still agree bitwise with the fast kernel."""
+def test_hot_loop_injection_through_blockspec_arm():
+    """``branch_hot_loop.s`` under forced mispredictions: every
+    recovery is a blockspec deopt point, and the run must still agree
+    bitwise with the fast kernel."""
     program = assemble((CORPUS / "branch_hot_loop.s").read_text())
     mismatches, _ = run_differential(program, inject="always-wrong",
-                                     engines=("fast", "batched"))
+                                     engines=("fast", "blockspec"))
     assert mismatches == []
 
 

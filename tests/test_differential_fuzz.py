@@ -137,11 +137,11 @@ class TestDifferentialFuzz:
                 == functional.stats.instructions)
 
 
-class TestBatchedCampaign:
+class TestEngineMatrixCampaign:
     """Seeded (non-hypothesis) rounds through the widened engine matrix:
-    ``engine="all"`` runs the full 5-way check (oracle, reference, fast,
-    blockspec, batched), and the serial lock-step campaign scheduler
-    must be indistinguishable from per-task execution."""
+    ``engine="all"`` runs the full 4-way check (oracle, reference, fast,
+    blockspec), and a worker pool must be indistinguishable from serial
+    execution."""
 
     SEEDS = tuple(range(6))
     PROFILES = ("mixed", "branch-dense", "fold-chains")
@@ -151,22 +151,18 @@ class TestBatchedCampaign:
         return [FuzzTask(seed=seed, profile=profile, engine=engine)
                 for seed in self.SEEDS for profile in self.PROFILES]
 
-    def test_five_way_agreement_on_seeded_round(self):
+    def test_four_way_agreement_on_seeded_round(self):
         from repro.verify.runner import run_fuzz_task
         for task in self._tasks("all"):
             report = run_fuzz_task(task)
             assert report.ok, (task, report.mismatches)
 
-    def test_lockstep_campaign_is_byte_identical_to_per_task(self):
-        """One pooled BatchedSimulator vs a ``--jobs 4`` worker pool:
-        the reports must come out byte-identical, so campaign output
-        never depends on which scheduler produced it."""
+    def test_serial_campaign_equals_jobs_4(self):
+        """Serial vs a ``--jobs 4`` worker pool: the reports must come
+        out byte-identical, so campaign output never depends on which
+        scheduler produced it."""
         from repro.eval.parallel import map_ordered
-        from repro.verify.runner import run_fuzz_task, \
-            run_fuzz_tasks_batched
-        tasks = self._tasks("batched")
-        lockstep, batch = run_fuzz_tasks_batched(tasks)
-        per_task = map_ordered(run_fuzz_task, tasks, jobs=4)
-        assert lockstep == per_task
-        assert batch.cohorts >= 1
-        assert batch.arrays.size == 4 * len(tasks)  # 2 regimes x 2 arms
+        from repro.verify.runner import run_fuzz_task
+        tasks = self._tasks("all")
+        serial = map_ordered(run_fuzz_task, tasks)
+        assert serial == map_ordered(run_fuzz_task, tasks, jobs=4)

@@ -105,6 +105,7 @@ class TestConfigValidation:
         ("icache_entries", 0),
         ("inject", "sometimes-wrong"),
         ("fold_policy", "crisp"),
+        ("engine", "batched"),
     ))
     def test_bad_field_is_named(self, field, value):
         with pytest.raises(ValueError, match=field):

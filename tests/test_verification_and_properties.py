@@ -158,42 +158,3 @@ class TestMemoryProperties:
     def test_unmapped_reads_zero(self):
         assert Memory().read_word(0xDEAD0000) == 0
 
-
-# ---- batched lock-step properties ------------------------------------------------
-
-class TestBatchedEquivalenceProperty:
-    """The lock-step tier's defining property, as a seed sweep (plain
-    parametrization, deliberately no hypothesis — the generator is
-    already deterministic per seed): batching K generated programs is
-    observationally identical to K independent fast-kernel runs, even
-    when duplicate items force cohort sharing."""
-
-    SEEDS = (0, 1, 2, 3, 4, 5, 6, 7)
-
-    @pytest.mark.parametrize("profile", ["mixed", "branch-dense"])
-    def test_batch_of_k_equals_k_independent_runs(self, profile):
-        from repro.obs.events import EventBus
-        from repro.sim import CrispCpu
-        from repro.sim.batched import BatchItem, run_batch
-        from repro.verify.generator import generate_source
-
-        programs = [assemble(generate_source(seed, profile))
-                    for seed in self.SEEDS]
-        # duplicates on purpose: seeds 0 and 1 appear twice, so the
-        # batch exercises cohort replication alongside unique rows
-        lineup = programs + [programs[0], programs[1]]
-        result = run_batch([BatchItem(program, CpuConfig(), warm=True)
-                            for program in lineup])
-        assert len(result.instances) == len(lineup)
-        assert result.cohorts == len(programs)
-        for program, instance in zip(lineup, result.instances):
-            cpu = CrispCpu(program, CpuConfig(),
-                           obs=EventBus(enabled=False))
-            cpu.warm_cache()
-            cpu.run()
-            assert instance.error is None
-            assert instance.stats.as_dict() == cpu.stats.as_dict()
-            assert instance.memory == cpu.memory.snapshot()
-            assert instance.accum == cpu.state.accum
-            assert instance.sp == cpu.state.sp
-            assert instance.flag == cpu.state.flag
