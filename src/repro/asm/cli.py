@@ -6,6 +6,7 @@ import argparse
 import sys
 
 from repro.asm.assembler import AssemblyError, assemble
+from repro.cliargs import read_input
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -19,11 +20,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="data segment base address (default 0x8000)")
     args = parser.parse_args(argv)
 
-    if args.source == "-":
-        text = sys.stdin.read()
-    else:
-        with open(args.source, encoding="utf-8") as handle:
-            text = handle.read()
+    text = read_input(parser, args.source)
     try:
         program = assemble(text, code_base=args.code_base,
                            data_base=args.data_base)

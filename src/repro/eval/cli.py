@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 
+from repro.cliargs import job_count
 from repro.sim.semantics import SimulationHungError
 
 
@@ -30,18 +31,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--json", action="store_true",
                         help="emit each exhibit as one JSON object on "
                              "stdout instead of terminal tables")
-    parser.add_argument("--jobs", type=int, default=None, metavar="N",
+    parser.add_argument("--jobs", type=job_count, default=None, metavar="N",
                         help="worker processes for exhibits that run "
                              "many independent simulations (table4); "
                              "0 = one per CPU. Output is byte-identical "
                              "to a serial run")
-    parser.add_argument("--engine",
-                        choices=("fast", "blockspec"),
-                        default="fast",
-                        help="simulation tier for table4/dynfold "
-                             "(blockspec JITs hot traces to generated "
-                             "Python; exhibits are byte-identical "
-                             "across tiers)")
     parser.add_argument("--campaign-out", metavar="PREFIX", default=None,
                         help="record campaign telemetry for multi-"
                              "simulation exhibits (table4, dynfold): "
@@ -115,8 +109,7 @@ def _run_exhibits(args: argparse.Namespace, wanted: list[str],
         for name in wanted:
             print(json.dumps(exhibit_json(name, args.events,
                                           jobs=args.jobs,
-                                          recorder=recorder,
-                                          engine=args.engine),
+                                          recorder=recorder),
                              sort_keys=True))
         return 0
 
@@ -139,15 +132,13 @@ def _run_exhibits(args: argparse.Namespace, wanted: list[str],
         from repro.eval.table4 import format_table4, run_table4
         print("== Table 4: execution statistics, cases A-E ==")
         print(format_table4(run_table4(jobs=args.jobs,
-                                       recorder=recorder,
-                                       engine=args.engine)))
+                                       recorder=recorder)))
         print()
     if "dynfold" in wanted:
         from repro.eval.table4 import format_dynfold, run_dynfold
         print("== Dynamic-confidence folding on the Table-4 cases ==")
         print(format_dynfold(run_dynfold(jobs=args.jobs,
-                                         recorder=recorder,
-                                         engine=args.engine)))
+                                         recorder=recorder)))
         print()
     if "figures" in wanted:
         from repro.eval.figures import nextpc_datapath_cases, pipeline_structure

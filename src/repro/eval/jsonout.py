@@ -58,11 +58,8 @@ def table3_json() -> dict[str, Any]:
     }
 
 
-def _table4_case_row(task: str | tuple[str, str]) -> dict[str, Any]:
-    """One attributed Table-4 JSON row (parallel-runner worker).
-
-    ``task`` is a bare case name or ``(case_name, engine)``.
-    """
+def _table4_case_row(case_name: str) -> dict[str, Any]:
+    """One attributed Table-4 JSON row (parallel-runner worker)."""
     from repro.eval.table4 import (
         CASE_DEFINITIONS,
         PAPER_TABLE4,
@@ -70,9 +67,8 @@ def _table4_case_row(task: str | tuple[str, str]) -> dict[str, Any]:
     )
     from repro.obs.attrib import attribute_run
 
-    case_name, engine = (task, "fast") if isinstance(task, str) else task
     case = next(c for c in CASE_DEFINITIONS if c.name == case_name)
-    program, config = case_program_config(case, engine=engine)
+    program, config = case_program_config(case)
     cpu, table = attribute_run(program, config)
     return {
         "case": case.name,
@@ -87,8 +83,7 @@ def _table4_case_row(task: str | tuple[str, str]) -> dict[str, Any]:
 
 
 def table4_json(jobs: int | None = None,
-                recorder=None,
-                engine: str = "fast") -> dict[str, Any]:
+                recorder=None) -> dict[str, Any]:
     """Table 4 with a per-site attribution section per case.
 
     Each case runs once with an attribution sink attached (sinks do not
@@ -103,10 +98,10 @@ def table4_json(jobs: int | None = None,
     from repro.eval.table4 import CASE_DEFINITIONS
 
     rows = map_ordered(_table4_case_row,
-                       [(case.name, engine) for case in CASE_DEFINITIONS],
+                       [case.name for case in CASE_DEFINITIONS],
                        jobs,
                        recorder=recorder,
-                       labeler=lambda task: f"table4/{task[0]}")
+                       labeler=lambda case_name: f"table4/{case_name}")
     reference = rows[0]["metrics"]["cycles"]
     for row in rows:
         row["relative_performance"] = reference / row["metrics"]["cycles"]
@@ -114,12 +109,11 @@ def table4_json(jobs: int | None = None,
 
 
 def dynfold_json(jobs: int | None = None,
-                 recorder=None,
-                 engine: str = "fast") -> dict[str, Any]:
+                 recorder=None) -> dict[str, Any]:
     """The dynamic-fold exhibit: Table-4 cases × fold-policy variants."""
     from repro.eval.table4 import run_dynfold
     rows = []
-    for row in run_dynfold(jobs=jobs, recorder=recorder, engine=engine):
+    for row in run_dynfold(jobs=jobs, recorder=recorder):
         rows.append({
             "case": row.case.name,
             "variant": row.label,
@@ -156,22 +150,19 @@ def branch_stats_json() -> dict[str, Any]:
 
 def exhibit_json(name: str, synthetic_events: int = 100_000,
                  jobs: int | None = None,
-                 recorder=None,
-                 engine: str = "fast") -> dict[str, Any]:
+                 recorder=None) -> dict[str, Any]:
     """The JSON document for one exhibit name (as the CLI spells it).
 
     ``jobs`` parallelises exhibits built from independent simulations
     (currently table4/dynfold) and ``recorder`` collects campaign
-    telemetry for them; the other exhibits ignore both. ``engine``
-    selects the simulation tier for those same exhibits (documents are
-    byte-identical across tiers).
+    telemetry for them; the other exhibits ignore both.
     """
     builders = {
         "table1": lambda: table1_json(synthetic_events),
         "table2": table2_json,
         "table3": table3_json,
-        "table4": lambda: table4_json(jobs, recorder, engine),
-        "dynfold": lambda: dynfold_json(jobs, recorder, engine),
+        "table4": lambda: table4_json(jobs, recorder),
+        "dynfold": lambda: dynfold_json(jobs, recorder),
         "figures": figures_json,
         "branch-stats": branch_stats_json,
     }

@@ -339,11 +339,9 @@ def run_sweep_tasks(tasks: Sequence[SweepTask],
 
 
 def run_table4_case(task: tuple[str, str]):
-    """Worker for one Table-4 case: ``(case_name, source)`` → stats,
-    with an optional trailing engine element in the task tuple."""
+    """Worker for one Table-4 case: ``(case_name, source)`` → stats."""
     from repro.eval.table4 import CASE_DEFINITIONS, run_case
 
-    case_name, source, *rest = task
-    engine = rest[0] if rest else "fast"
+    case_name, source = task
     case = next(c for c in CASE_DEFINITIONS if c.name == case_name)
-    return run_case(case, source, engine=engine)
+    return run_case(case, source)

@@ -10,7 +10,6 @@ same process.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -75,8 +74,7 @@ def run_grid(workloads: Iterable[str],
              configs: dict[str, CpuConfig],
              spreading: bool = True,
              jobs: int | None = None,
-             seed: int | None = None,
-             engine: str = "fast") -> Sweep:
+             seed: int | None = None) -> Sweep:
     """Run every workload under every named configuration.
 
     ``jobs`` fans the points out over worker processes (see
@@ -84,14 +82,9 @@ def run_grid(workloads: Iterable[str],
     the sweep is identical to a serial run point for point. ``seed``
     feeds synthetic (``gen_*``) workload generation — carried inside
     each task, so parallel workers regenerate the exact programs the
-    serial path compiles. ``engine`` selects the simulation tier
-    ("fast" or "blockspec") for every point; stats are bit-identical
-    across tiers.
+    serial path compiles.
     """
     from repro.eval.parallel import SweepTask, run_sweep_tasks
-    if engine != "fast":
-        configs = {label: dataclasses.replace(config, engine=engine)
-                   for label, config in configs.items()}
     tasks = [SweepTask(workload, label, config, spreading, seed)
              for workload in workloads
              for label, config in configs.items()]
@@ -100,30 +93,27 @@ def run_grid(workloads: Iterable[str],
 
 def icache_sweep(workloads: Iterable[str],
                  sizes: Iterable[int] = (8, 16, 32, 64, 128),
-                 jobs: int | None = None,
-                 engine: str = "fast") -> Sweep:
+                 jobs: int | None = None) -> Sweep:
     """Decoded-instruction-cache size sweep (paper shipped 32 entries)."""
     return run_grid(workloads, {
         f"i{size}": CpuConfig(icache_entries=size) for size in sizes},
-        jobs=jobs, engine=engine)
+        jobs=jobs)
 
 
 def latency_sweep(workloads: Iterable[str],
                   latencies: Iterable[int] = (1, 2, 4, 8),
-                  jobs: int | None = None,
-                  engine: str = "fast") -> Sweep:
+                  jobs: int | None = None) -> Sweep:
     """Main-memory latency sweep (the decoded cache decouples the EU)."""
     return run_grid(workloads, {
         f"m{latency}": CpuConfig(mem_latency=latency)
-        for latency in latencies}, jobs=jobs, engine=engine)
+        for latency in latencies}, jobs=jobs)
 
 
 def fold_policy_sweep(workloads: Iterable[str],
-                      jobs: int | None = None,
-                      engine: str = "fast") -> Sweep:
+                      jobs: int | None = None) -> Sweep:
     """The three fold policies over a set of workloads."""
     return run_grid(workloads, {
         "none": CpuConfig(fold_policy=FoldPolicy.none()),
         "crisp": CpuConfig(fold_policy=FoldPolicy.crisp()),
         "all": CpuConfig(fold_policy=FoldPolicy.fold_all()),
-    }, jobs=jobs, engine=engine)
+    }, jobs=jobs)

@@ -61,16 +61,13 @@ class Table4Row:
         return self.stats.cycles
 
 
-def case_program_config(case: CaseDefinition, source: str = FIGURE3,
-                        engine: str = "fast"):
+def case_program_config(case: CaseDefinition, source: str = FIGURE3):
     """Compile ``source`` for one Table-4 configuration.
 
     Returns ``(program, config)`` so callers can choose how to run it
     (plain, traced, or with per-site attribution attached). Compilation
     goes through :mod:`repro.sim.progcache`, so running all five cases
-    compiles each distinct (source, options) pair once. ``engine``
-    selects the simulation tier (both tiers are bit-identical in every
-    exhibit; blockspec is just faster).
+    compiles each distinct (source, options) pair once.
     """
     options = CompilerOptions(
         spreading=case.spreading,
@@ -78,22 +75,19 @@ def case_program_config(case: CaseDefinition, source: str = FIGURE3,
                     else PredictionMode.NOT_TAKEN))
     program = compile_cached(source, options)
     config = CpuConfig(fold_policy=(FoldPolicy.crisp() if case.folding
-                                    else FoldPolicy.none()),
-                       engine=engine)
+                                    else FoldPolicy.none()))
     return program, config
 
 
-def run_case(case: CaseDefinition, source: str = FIGURE3,
-             engine: str = "fast") -> PipelineStats:
+def run_case(case: CaseDefinition, source: str = FIGURE3) -> PipelineStats:
     """Run one Table-4 configuration on the cycle-accurate machine."""
-    program, config = case_program_config(case, source, engine=engine)
+    program, config = case_program_config(case, source)
     return run_cycle_accurate(program, config).stats
 
 
 def run_table4(source: str = FIGURE3,
                jobs: int | None = None,
-               recorder=None,
-               engine: str = "fast") -> list[Table4Row]:
+               recorder=None) -> list[Table4Row]:
     """Regenerate Table 4 (case A is the performance reference).
 
     ``jobs`` runs the five cases in worker processes (ordered merge,
@@ -103,7 +97,7 @@ def run_table4(source: str = FIGURE3,
     """
     from repro.eval.parallel import map_ordered, run_table4_case
     stats_list = map_ordered(run_table4_case,
-                             [(case.name, source, engine)
+                             [(case.name, source)
                               for case in CASE_DEFINITIONS], jobs,
                              recorder=recorder,
                              labeler=lambda task: f"table4/{task[0]}")
@@ -146,37 +140,26 @@ class DynfoldRow:
 
 
 def dynfold_case_config(case: CaseDefinition, confidence: int | None,
-                        source: str = FIGURE3, engine: str = "fast"):
-    """Compile one Table-4 case and pick the variant's fold policy.
-
-    Dynamic-fold configurations always run the plain stepping loop
-    (the blockspec tier deopts on dynamic policies), so ``engine``
-    only affects the ``static`` variant — but it is threaded through
-    anyway so a ``--engine`` run is uniformly configured.
-    """
-    program, config = case_program_config(case, source, engine=engine)
+                        source: str = FIGURE3):
+    """Compile one Table-4 case and pick the variant's fold policy."""
+    program, config = case_program_config(case, source)
     if confidence is None:
         return program, config
     return program, CpuConfig(
-        fold_policy=FoldPolicy.dynamic(confidence=confidence),
-        engine=engine)
+        fold_policy=FoldPolicy.dynamic(confidence=confidence))
 
 
 def run_dynfold_point(task: tuple[str, str, int | None, str]):
-    """Worker for one dynfold point: ``(case, label, confidence, src)``
-    with an optional trailing engine element."""
-    case_name, _label, confidence, source, *rest = task
-    engine = rest[0] if rest else "fast"
+    """Worker for one dynfold point: ``(case, label, confidence, src)``."""
+    case_name, _label, confidence, source = task
     case = next(c for c in CASE_DEFINITIONS if c.name == case_name)
-    program, config = dynfold_case_config(case, confidence, source,
-                                          engine=engine)
+    program, config = dynfold_case_config(case, confidence, source)
     return run_cycle_accurate(program, config).stats
 
 
 def run_dynfold(source: str = FIGURE3,
                 jobs: int | None = None,
-                recorder=None,
-                engine: str = "fast") -> list[DynfoldRow]:
+                recorder=None) -> list[DynfoldRow]:
     """Run the dynamic-fold exhibit over every Table-4 case."""
     from repro.eval.parallel import map_ordered
     grid = [(case, label, confidence)
@@ -184,7 +167,7 @@ def run_dynfold(source: str = FIGURE3,
             for label, confidence in DYNFOLD_VARIANTS]
     stats_list = map_ordered(
         run_dynfold_point,
-        [(case.name, label, confidence, source, engine)
+        [(case.name, label, confidence, source)
          for case, label, confidence in grid], jobs,
         recorder=recorder,
         labeler=lambda task: f"dynfold/{task[0]}/{task[1]}")

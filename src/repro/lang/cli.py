@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro.cliargs import read_input
 from repro.lang.compiler import (
     CompileError,
     CompilerOptions,
@@ -31,11 +32,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="assemble and run on the cycle-accurate model")
     args = parser.parse_args(argv)
 
-    if args.source == "-":
-        text = sys.stdin.read()
-    else:
-        with open(args.source, encoding="utf-8") as handle:
-            text = handle.read()
+    text = read_input(parser, args.source)
     options = CompilerOptions(
         spreading=args.spread,
         prediction=PredictionMode(args.predict))

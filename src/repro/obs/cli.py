@@ -45,6 +45,7 @@ from __future__ import annotations
 import argparse
 import json
 
+from repro.cliargs import job_count
 from repro.obs.events import EventBus, JsonlSink
 
 EXIT_OK = 0
@@ -171,7 +172,7 @@ def _cmd_run(argv: list[str]) -> int:
     parser.add_argument("--table4-baseline", metavar="PATH",
                         help="emit the Table-4 A-E baseline manifests "
                              "and exit")
-    parser.add_argument("--jobs", type=int, default=None, metavar="N",
+    parser.add_argument("--jobs", type=job_count, default=None, metavar="N",
                         help="worker processes for multi-case artefacts "
                              "(--table4-baseline); 0 = one per CPU. "
                              "Manifests merge in case order, so the "

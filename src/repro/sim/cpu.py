@@ -32,6 +32,12 @@ from repro.sim.stats import PipelineStats
 #: SimulationHungError diagnostic ring buffer
 WATCHDOG_RING = 64
 
+#: The engine tiers, default first: the one list ``CpuConfig``,
+#: ``crisp-sim --engine`` and the ``crisp-verify`` differential build
+#: their choices and arms from. Every tier after the first must be
+#: bit-identical to it, and ``crisp-verify`` checks that it is.
+ENGINES: tuple[str, ...] = ("fast", "blockspec")
+
 
 @dataclass(frozen=True)
 class CpuConfig:
@@ -46,11 +52,9 @@ class CpuConfig:
     #: fault injection mode (None or "always-wrong"); see
     #: :mod:`repro.sim.dynfold`
     inject: str | None = None
-    #: execution engine tier: "fast" (per-cycle kernel) or "blockspec"
-    #: (trace-compiled hot loops; falls back to the per-cycle kernel
-    #: outside steady state and entirely under dynamic-fold policies) —
-    #: bit-identical in results; see :mod:`repro.sim.blockspec`
-    engine: str = "fast"
+    #: execution engine tier, one of :data:`ENGINES`; every tier is
+    #: bit-identical in results (docs/pipeline.md, "Engine tiers")
+    engine: str = ENGINES[0]
 
     def __post_init__(self) -> None:
         # a zero latency or depth never decodes (the PDU spins at the
@@ -75,7 +79,7 @@ class CpuConfig:
             raise ValueError(
                 f"inject must be one of {(None, *INJECT_MODES)}, "
                 f"got {self.inject!r}")
-        if self.engine not in ("fast", "blockspec"):
+        if self.engine not in ENGINES:
             raise ValueError(f"unknown engine {self.engine!r}")
 
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import argparse
 
+from repro.cliargs import read_input
+
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
@@ -41,19 +43,16 @@ def main(argv: list[str] | None = None) -> int:
 
     args = parser.parse_args(argv)
     if args.command == "capture":
-        return _capture(args)
-    if args.command == "info":
-        return _info(args)
-    if args.command == "study":
-        return _study(args)
-    if args.command == "classify":
-        return _classify(args)
-    return _synthesize(args)
+        return _capture(args, read_input(parser, args.source))
+    if args.command == "synthesize":
+        return _synthesize(args)
+    from repro.trace import load_trace
+    events = read_input(parser, args.trace, load_trace)
+    handler = {"info": _info, "study": _study, "classify": _classify}
+    return handler[args.command](args, events)
 
 
-def _load_program(path: str):
-    with open(path, encoding="utf-8") as handle:
-        text = handle.read()
+def _load_program(path: str, text: str):
     if path.endswith(".c"):
         from repro.lang import compile_source
         return compile_source(text)
@@ -61,18 +60,16 @@ def _load_program(path: str):
     return assemble(text)
 
 
-def _capture(args) -> int:
+def _capture(args, text: str) -> int:
     from repro.trace import capture_trace, save_trace
-    program = _load_program(args.source)
+    program = _load_program(args.source, text)
     events = capture_trace(program, conditional_only=args.conditional_only)
     count = save_trace(args.output, events)
     print(f"wrote {count} branch events to {args.output}")
     return 0
 
 
-def _info(args) -> int:
-    from repro.trace import load_trace
-    events = load_trace(args.trace)
+def _info(_args, events) -> int:
     conditional = sum(1 for e in events if e.conditional)
     taken = sum(1 for e in events if e.taken)
     static = len({e.pc for e in events})
@@ -83,20 +80,18 @@ def _info(args) -> int:
     return 0
 
 
-def _study(args) -> int:
+def _study(_args, events) -> int:
     from repro.predict import PredictionStudy
-    from repro.trace import load_trace
     study = PredictionStudy()
-    study.observe_all(load_trace(args.trace))
+    study.observe_all(events)
     for name, accuracy in study.accuracies().items():
         print(f"{name:<16} {accuracy:6.1%}")
     return 0
 
 
-def _classify(args) -> int:
-    from repro.trace import load_trace
+def _classify(args, events) -> int:
     from repro.trace.analyze import profile_trace
-    profile = profile_trace(load_trace(args.trace))
+    profile = profile_trace(events)
     print(f"{profile.events} conditional executions over "
           f"{profile.static_sites} sites; optimal static accuracy "
           f"{profile.optimal_static_accuracy():.1%}")

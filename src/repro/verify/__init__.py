@@ -10,8 +10,9 @@ tripod and the machinery to exercise all three adversarially:
   penalties, total cycles) from the dynamic trace alone;
 * :mod:`repro.verify.generator` — a seeded, pure constraint-shaped
   assembly program generator with coverage-oriented profiles;
-* :mod:`repro.verify.runner` — the 3-way differential check (fast
-  kernel vs. reference kernel vs. oracle) over architectural state,
+* :mod:`repro.verify.runner` — the differential check (the reference
+  kernel and every further engine tier vs. the fast kernel, and the
+  fast kernel vs. the oracle) over architectural state,
   ``ExecutionStats``/``PipelineStats``, attribution totals and the
   Next-PC / Alternate-Next-PC invariants;
 * :mod:`repro.verify.coverage` — the opcode × fold-class ×

@@ -3,13 +3,14 @@
 Subcommands:
 
 ``fuzz``
-    Generate programs and run the 3-way differential check
-    (fast kernel vs reference kernel vs architectural oracle) on each;
-    ``--engine blockspec`` (or ``all``) widens it to 4-way by adding the
-    blockspec tier as a bitwise arm. Coverage is reported per engine arm.
-    Stops after ``--programs`` N, or at ``--target-coverage`` F, or at a
-    ``--budget`` wall-clock limit (CI mode; program count then depends
-    on machine speed, everything else stays seed-deterministic).
+    Generate programs and run the differential check on each: the fast
+    kernel against the reference kernel and the architectural oracle,
+    plus one bitwise arm per further engine tier that ``--engine``
+    names (a tier of :data:`repro.sim.cpu.ENGINES`, or ``all`` of them).
+    Coverage is reported per engine. Stops after ``--programs`` N, or
+    at ``--target-coverage`` F, or at a ``--budget`` wall-clock limit
+    (CI mode; program count then depends on machine speed, everything
+    else stays seed-deterministic).
     Disagreements are shrunk to minimal ``.s`` repros in
     ``--corpus-dir`` and the process exits 1.
 ``replay``
@@ -18,9 +19,9 @@ Subcommands:
     Oracle-only sweep: report which opcode × fold-class × outcome ×
     interlock × fold-verify cells a seed/profile mix reaches, without
     running the cycle kernels. ``--engine`` picks the matrix the
-    tallies are broken down over: one line per engine arm, with the
+    tallies are broken down over: one line per engine, with the
     native/fallback split made explicit so a tier-specific coverage
-    hole can't hide behind the fast arm's totals.
+    hole can't hide behind the fast kernel's totals.
 
 ``--jobs N`` fans tasks out over processes via
 :func:`repro.eval.parallel.map_ordered`; results are merged in task
@@ -31,7 +32,7 @@ By default tasks cycle over fold policies — static CRISP, then
 covers both the paper's machine and the dynamic-confidence extension
 (the fold-verify coverage cells are only reachable under the latter).
 ``--dyn-confidence N`` pins the mix; ``--inject always-wrong`` turns on
-misprediction fault injection in both cycle kernels.
+misprediction fault injection in every cycle kernel.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ import time
 from pathlib import Path
 
 from repro.asm.assembler import AssemblyError, assemble
-from repro.core.policy import FoldPolicy
+from repro.cliargs import job_count, read_input
 from repro.eval.parallel import TaskFailure, map_ordered
 from repro.sim.dynfold import INJECT_MODES
 from repro.verify.coverage import CoverageMap, total_reachable
@@ -50,8 +51,10 @@ from repro.verify.generator import PROFILES, generate_source
 from repro.verify.oracle import OracleError, run_oracle
 from repro.verify.runner import (
     ENGINE_MATRIX,
+    FAST,
     FuzzTask,
     ProgramReport,
+    confidence_policy,
     program_parcels,
     run_differential,
     run_fuzz_task,
@@ -65,90 +68,81 @@ _BATCH = 25  #: tasks per scheduling round in coverage/budget modes
 _DYN_MIX: tuple[int | None, ...] = (None, 1, 2, 3)
 
 
-def _confidence_policy(confidence: int | None) -> FoldPolicy | None:
-    return (None if confidence is None
-            else FoldPolicy.dynamic(confidence=confidence))
+def _dyn_mix(values: list[int] | None) -> tuple[int | None, ...]:
+    """The per-task policy mix ``--dyn-confidence`` pins (-1 = static)."""
+    if not values:
+        return _DYN_MIX
+    return tuple(None if value < 0 else value for value in values)
 
 
 def _tasks(seed: int, start: int, count: int, profiles: list[str],
-           stress: bool,
-           dyn_mix: tuple[int | None, ...] = _DYN_MIX,
-           inject: str | None = None,
-           engine: str = "fast") -> list[FuzzTask]:
+           dyn_mix: tuple[int | None, ...], **fields) -> list[FuzzTask]:
     return [FuzzTask(seed=seed * 1_000_003 + index,
                      profile=profiles[index % len(profiles)],
-                     stress=stress,
                      dyn_confidence=dyn_mix[index % len(dyn_mix)],
-                     inject=inject, engine=engine)
+                     **fields)
             for index in range(start, start + count)]
 
 
 class _EngineCoverage:
-    """Per-engine cell tallies: what each arm of the matrix compared.
+    """Cell tallies for each engine of the matrix.
 
-    Every cell a task reaches is compared on every arm of its matrix —
-    under dynamic-fold policies the blockspec tier falls back to the
-    per-cycle loop, but the arm still runs and is still checked
-    bitwise. The *native* subset excludes those fallback policies, so
-    a hole in the tier's own machinery (traces) can't hide behind the
-    fallback path's share of the total.
+    Every engine compares every cell a task reaches, so one map holds
+    the compared cells of all of them. Under dynamic-fold policies each
+    tier but the fast kernel runs on its per-cycle fallback; a second
+    map keeps the cells reached under the static policy, the tier's
+    *native* cells, so a hole in the tier's own machinery can't hide
+    behind the fallback path's share of the total.
     """
 
     def __init__(self, engines: tuple[str, ...]) -> None:
         self.engines = engines
-        self.compared = {engine: CoverageMap() for engine in engines}
-        self.native = {engine: CoverageMap() for engine in engines}
+        self.compared = CoverageMap()
+        self.static = CoverageMap()
 
     def add(self, branch_records, body_records,
             dyn_confidence: int | None) -> None:
-        for engine in self.engines:
-            self.compared[engine].add_records(branch_records, body_records)
-            if engine == "fast" or dyn_confidence is None:
-                self.native[engine].add_records(branch_records,
-                                                body_records)
+        self.compared.add_records(branch_records, body_records)
+        if dyn_confidence is None:
+            self.static.add_records(branch_records, body_records)
 
-    def lines(self) -> list[str]:
-        out = []
+    def lines(self, counts: bool = False) -> list[str]:
+        """The report: totals, one line per engine, every cell's hit
+        count if ``counts``, then the cells no program reached."""
+        cover, compared = self.compared, self.compared.total_hit()
+        out = [f"coverage: {compared}/{total_reachable()} reachable cells "
+               f"({cover.fraction():.1%})"]
         for engine in self.engines:
-            compared = self.compared[engine]
-            native_hit = self.native[engine].total_hit()
-            fallback_only = compared.total_hit() - native_hit
-            text = (f"coverage[{engine}]: {compared.total_hit()}"
-                    f"/{total_reachable()} cells compared "
-                    f"({compared.fraction():.1%})")
-            if fallback_only:
-                text += (f" — {native_hit} native, {fallback_only} "
+            native = compared if engine == FAST else self.static.total_hit()
+            text = (f"coverage[{engine}]: {compared}/{total_reachable()} "
+                    f"cells compared ({cover.fraction():.1%})")
+            if compared > native:
+                text += (f" — {native} native, {compared - native} "
                          f"via per-cycle fallback")
             out.append(text)
+        if counts:
+            out += [f"  {'/'.join(cell)}: {count}"
+                    for cell, count in sorted(cover.cells.items())]
+        out += [f"  missing: {'/'.join(cell)}" for cell in cover.missing()]
+        out += [f"  missing fold-verify: {'/'.join(cell)}"
+                for cell in cover.missing_fold_verify()]
         return out
-
-
-def _still_failing(source: str, stress: bool,
-                   dyn_confidence: int | None = None,
-                   inject: str | None = None,
-                   engine: str = "fast") -> bool:
-    try:
-        program = assemble(source)
-    except Exception:
-        return False
-    try:
-        mismatches, _ = run_differential(
-            program, _confidence_policy(dyn_confidence),
-            stress=stress, max_cycles=1_000_000, inject=inject,
-            engines=ENGINE_MATRIX[engine])
-    except Exception:
-        return False
-    return bool(mismatches)
 
 
 def _shrink_and_save(report: ProgramReport, corpus_dir: Path) -> Path:
     assert report.source is not None
 
-    def still_failing(src: str) -> bool:
-        return _still_failing(src, stress=True,
-                              dyn_confidence=report.dyn_confidence,
-                              inject=report.inject,
-                              engine=report.engine)
+    def still_failing(source: str) -> bool:
+        """The candidate assembles and still disagrees in the report's
+        regime (a candidate that crashes the runner does not count)."""
+        try:
+            mismatches, _ = run_differential(
+                assemble(source), confidence_policy(report.dyn_confidence),
+                max_cycles=1_000_000, inject=report.inject,
+                engines=ENGINE_MATRIX[report.engine])
+        except Exception:
+            return False
+        return bool(mismatches)
 
     minimal = shrink_source(report.source, still_failing)
     if not still_failing(minimal):
@@ -169,8 +163,9 @@ def _shrink_and_save(report: ProgramReport, corpus_dir: Path) -> Path:
 
 def cmd_fuzz(args: argparse.Namespace) -> int:
     profiles = args.profile or list(PROFILES)
-    coverage = CoverageMap()
+    dyn_mix = _dyn_mix(args.dyn_confidence)
     engine_cover = _EngineCoverage(ENGINE_MATRIX[args.engine])
+    coverage = engine_cover.compared
     failures: list[ProgramReport] = []
     lost: list[TaskFailure] = []
     ran = 0
@@ -181,12 +176,6 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     # in budget/coverage modes (where the real stop is time/coverage)
     expected = (args.programs if args.budget is None
                 and args.target_coverage is None else None)
-
-    if args.dyn_confidence:
-        dyn_mix = tuple(None if value < 0 else value
-                        for value in args.dyn_confidence)
-    else:
-        dyn_mix = _DYN_MIX
 
     from repro.obs.campaign import close_campaign, open_campaign
     recorder, campaign_stream = open_campaign(
@@ -212,9 +201,8 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
 
     def run_batch(count: int) -> None:
         nonlocal ran
-        batch = _tasks(args.seed, ran, count, profiles,
-                       stress=not args.no_stress,
-                       dyn_mix=dyn_mix, inject=args.inject,
+        batch = _tasks(args.seed, ran, count, profiles, dyn_mix,
+                       stress=not args.no_stress, inject=args.inject,
                        engine=args.engine)
         reports = map_ordered(
             run_fuzz_task, batch, jobs=args.jobs, recorder=recorder,
@@ -225,9 +213,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
                 # continues but the lost point is visible and fatal.
                 lost.append(report)
                 continue
-            cells = [_Cell(*cell) for cell in report.branch_cells]
-            coverage.add_records(cells, report.body_cells)
-            engine_cover.add(cells, report.body_cells,
+            engine_cover.add(report.branch_cells, report.body_cells,
                              report.dyn_confidence)
             if not report.ok:
                 failures.append(report)
@@ -267,14 +253,8 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         print(f"LOST seed={getattr(task, 'seed', '?')} "
               f"profile={getattr(task, 'profile', '?')} "
               f"after {failure.attempts} attempts: {failure.error}")
-    print(f"coverage: {coverage.total_hit()}/{total_reachable()} "
-          f"reachable cells ({coverage.fraction():.1%})")
     for line in engine_cover.lines():
         print(line)
-    for cell in coverage.missing():
-        print(f"  missing: {'/'.join(cell)}")
-    for cell in coverage.missing_fold_verify():
-        print(f"  missing fold-verify: {'/'.join(cell)}")
 
     if args.coverage_out:
         Path(args.coverage_out).write_text(coverage.to_json())
@@ -292,24 +272,10 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     return 1 if lost else 0
 
 
-class _Cell:
-    """Adapter giving coverage the BranchRecord attribute shape."""
-
-    __slots__ = ("opcode", "folded", "outcome", "interlock", "fold_verify")
-
-    def __init__(self, opcode: str, folded: bool, outcome: str,
-                 interlock: str, fold_verify: str = "none") -> None:
-        self.opcode = opcode
-        self.folded = folded
-        self.outcome = outcome
-        self.interlock = interlock
-        self.fold_verify = fold_verify
-
-
 def cmd_replay(args: argparse.Namespace) -> int:
+    sources = [(name, read_input(args.parser, name)) for name in args.files]
     status = 0
-    for name in args.files:
-        source = Path(name).read_text()
+    for name, source in sources:
         try:
             program = assemble(source)
         except AssemblyError as exc:
@@ -317,7 +283,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
             status = 1
             continue
         mismatches, oracle = run_differential(
-            program, _confidence_policy(args.dyn_confidence),
+            program, confidence_policy(args.dyn_confidence),
             stress=not args.no_stress, inject=args.inject,
             engines=ENGINE_MATRIX[args.engine])
         if mismatches:
@@ -339,41 +305,33 @@ def cmd_replay(args: argparse.Namespace) -> int:
 
 def cmd_coverage(args: argparse.Namespace) -> int:
     profiles = args.profile or list(PROFILES)
-    if args.dyn_confidence:
-        dyn_mix: tuple[int | None, ...] = tuple(
-            None if value < 0 else value for value in args.dyn_confidence)
-    else:
-        dyn_mix = _DYN_MIX
-    coverage = CoverageMap()
     engine_cover = _EngineCoverage(ENGINE_MATRIX[args.engine])
-    for index in range(args.programs):
-        seed = args.seed * 1_000_003 + index
-        profile = profiles[index % len(profiles)]
-        confidence = dyn_mix[index % len(dyn_mix)]
-        policy = _confidence_policy(confidence)
+    for task in _tasks(args.seed, 0, args.programs, profiles,
+                       _dyn_mix(args.dyn_confidence)):
         try:
-            program = assemble(generate_source(seed, profile))
-            result = run_oracle(program, policy)
+            program = assemble(generate_source(task.seed, task.profile))
+            result = run_oracle(program,
+                                confidence_policy(task.dyn_confidence))
         except (AssemblyError, OracleError) as exc:
-            print(f"seed {seed} ({profile}): generator produced a bad "
-                  f"program: {exc}", file=sys.stderr)
+            print(f"seed {task.seed} ({task.profile}): generator produced "
+                  f"a bad program: {exc}", file=sys.stderr)
             return 1
-        coverage.add_records(result.branches, result.body_records)
-        engine_cover.add(result.branches, result.body_records, confidence)
+        engine_cover.add(result.branches, result.body_records,
+                         task.dyn_confidence)
     print(f"programs: {args.programs}")
-    print(f"coverage: {coverage.total_hit()}/{total_reachable()} "
-          f"reachable cells ({coverage.fraction():.1%})")
-    for line in engine_cover.lines():
+    for line in engine_cover.lines(counts=True):
         print(line)
-    for cell, count in sorted(coverage.cells.items()):
-        print(f"  {'/'.join(cell)}: {count}")
-    for cell in coverage.missing():
-        print(f"  missing: {'/'.join(cell)}")
-    for cell in coverage.missing_fold_verify():
-        print(f"  missing fold-verify: {'/'.join(cell)}")
     if args.json:
-        Path(args.json).write_text(coverage.to_json())
+        Path(args.json).write_text(engine_cover.compared.to_json())
     return 0
+
+
+def _add_engine_argument(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--engine", choices=tuple(ENGINE_MATRIX),
+                        default=FAST,
+                        help="engine matrix: each tier it names besides "
+                             "the fast kernel ('all' = every tier) is one "
+                             "more bitwise arm with its own coverage line")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -398,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="hard cap for budget/target modes")
     fuzz.add_argument("--profile", action="append", choices=PROFILES,
                       help="restrict profiles (repeatable; default all)")
-    fuzz.add_argument("--jobs", type=int, default=None,
+    fuzz.add_argument("--jobs", type=job_count, default=None,
                       help="worker processes (0 = all cores)")
     fuzz.add_argument("--no-stress", action="store_true",
                       help="skip the cold-cache stress comparison")
@@ -414,12 +372,9 @@ def build_parser() -> argparse.ArgumentParser:
                            "confidence thresholds (repeatable; -1 = the "
                            "static policy; default cycles static,1,2,3)")
     fuzz.add_argument("--inject", choices=INJECT_MODES, default=None,
-                      help="misprediction fault injection in both kernels")
-    fuzz.add_argument("--engine",
-                      choices=("fast", "blockspec", "all"),
-                      default="fast",
-                      help="engine matrix: 'blockspec' (or 'all') adds "
-                           "that tier as a fourth bitwise arm")
+                      help="misprediction fault injection in every "
+                           "cycle kernel")
+    _add_engine_argument(fuzz)
     fuzz.add_argument("--campaign-out", metavar="PREFIX", default=None,
                       help="record campaign telemetry: PREFIX.json "
                            "(manifest), PREFIX.jsonl (live stream for "
@@ -438,11 +393,8 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="N",
                         help="replay under FoldPolicy.dynamic(N)")
     replay.add_argument("--inject", choices=INJECT_MODES, default=None)
-    replay.add_argument("--engine",
-                        choices=("fast", "blockspec", "all"),
-                        default="fast",
-                        help="as for fuzz: widen the engine matrix")
-    replay.set_defaults(func=cmd_replay)
+    _add_engine_argument(replay)
+    replay.set_defaults(func=cmd_replay, parser=replay)
 
     cover = sub.add_parser("coverage", help="oracle-only coverage sweep")
     cover.add_argument("--seed", type=int, default=0)
@@ -451,12 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     cover.add_argument("--dyn-confidence", action="append", type=int,
                        metavar="N",
                        help="as for fuzz: pin the fold-policy mix")
-    cover.add_argument("--engine",
-                       choices=("fast", "blockspec", "all"),
-                       default="fast",
-                       help="engine matrix to break the cell tallies "
-                            "down over (one line per arm, with the "
-                            "native/fallback split)")
+    _add_engine_argument(cover)
     cover.add_argument("--json", metavar="FILE")
     cover.set_defaults(func=cmd_coverage)
     return parser

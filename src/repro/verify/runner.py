@@ -1,11 +1,18 @@
-"""Differential execution: fast kernel vs reference vs oracle — and,
-with ``engines=("fast", "blockspec")``, a fourth arm running the
-trace-compiled blockspec tier (see :mod:`repro.sim.blockspec`), which
-must be bitwise identical to the fast kernel in every regime.
+"""Differential execution: every engine tier vs the reference kernel vs
+the analytic oracle.
 
-Two comparison regimes are run per program:
+Each finished run — the fast kernel, the reference kernel, every other
+engine tier of the task's matrix (:data:`ENGINE_MATRIX`, built from
+:data:`repro.sim.cpu.ENGINES`) and the oracle — is reduced to one
+:class:`RunOutcome`, and one comparator reports every difference
+between two outcomes. Two regimes are run per program. In each, the
+fast kernel runs first; then every other *arm* (the reference kernel,
+then each further engine of the matrix) runs under the same
+configuration and must equal it bitwise, and the fast kernel is checked
+against the oracle. Adding or removing a tier is one entry in
+``ENGINES``; the arms follow.
 
-**Ideal mode** — both cycle kernels get a conflict-free, pre-warmed
+**Ideal mode** — every arm gets a conflict-free, pre-warmed
 decoded cache (:func:`ideal_config`), which makes the pipeline's timing
 exactly the analytic model the oracle computes. Here the oracle's
 cycle/issue/fold/mispredict/stall counters, ``ExecutionStats`` and full
@@ -21,8 +28,8 @@ bit for bit, as is the entire ``PipelineStats`` dict.
 evictions and wrong-path demand fetches. Timing is no longer analytic,
 so the oracle only checks timing-independent facts (architectural
 state, ``ExecutionStats``, issued/executed/folded counts — these are
-address-deterministic regardless of cache behaviour), while the two
-kernels must again agree bitwise.
+address-deterministic regardless of cache behaviour), while the
+arms must again agree bitwise.
 
 On top of both, the runner validates the decode layer itself:
 
@@ -31,12 +38,14 @@ On top of both, the runner validates the decode layer itself:
   from-scratch recomputation out of the branch specifier (target =
   branch's own PC + displacement, resp. absolute/indirect rules);
 * the per-site attribution table reconciles exactly with the aggregate
-  pipeline counters on an instrumented run.
+  pipeline counters on an instrumented run, on every engine of the
+  matrix, and every engine builds the fast kernel's table.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from repro.asm.assembler import AssemblyError, assemble
@@ -45,24 +54,31 @@ from repro.core.policy import FoldPolicy
 from repro.isa.instructions import BranchMode
 from repro.isa.parcels import PARCEL_BYTES
 from repro.obs.attrib import attribute_run
-from repro.sim.cpu import CpuConfig, CrispCpu
+from repro.sim.cpu import ENGINES, CpuConfig, CrispCpu
 from repro.sim.progcache import predecode_cached
 from repro.sim.reference import ReferenceCpu
 from repro.sim.semantics import SimulationError
 from repro.verify.generator import generate_source
-from repro.verify.oracle import OracleError, OracleResult, run_oracle
-from repro.verify.oracle import oracle_entries
+from repro.verify.oracle import BranchRecord, OracleError, OracleResult
+from repro.verify.oracle import oracle_entries, run_oracle
 
 _EXEC_ERRORS = (SimulationError, ZeroDivisionError)
 
-#: CLI/task ``engine`` choice -> the engine arms a differential runs.
-#: Every non-fast arm is compared *against* the fast kernel, so "fast"
-#: is always present; "all" is the full 4-way matrix.
+#: the engine every other arm is compared against (the default tier)
+FAST = ENGINES[0]
+
+#: CLI/task ``engine`` choice -> the engines a differential runs: the
+#: fast kernel alone, the fast kernel and one more tier, or every tier
+#: in :data:`repro.sim.cpu.ENGINES`.
 ENGINE_MATRIX: dict[str, tuple[str, ...]] = {
-    "fast": ("fast",),
-    "blockspec": ("fast", "blockspec"),
-    "all": ("fast", "blockspec"),
-}
+    engine: (FAST,) if engine == FAST else (FAST, engine)
+    for engine in ENGINES}
+ENGINE_MATRIX["all"] = ENGINES
+
+#: counts the oracle fixes whatever the timing: cache misses and
+#: injected recoveries may add cycles, never instructions
+_COUNT_KEYS = ("issued_instructions", "executed_instructions",
+               "folded_branches")
 
 
 def program_parcels(program: Program) -> int:
@@ -160,35 +176,105 @@ def check_nextpc_invariants(program: Program,
     return problems
 
 
-def _compare_runs(label: str, fast: CrispCpu,
-                  other: CrispCpu | ReferenceCpu, name: str,
-                  out: list[str]) -> None:
-    """Bitwise fast-vs-``name`` comparison: full stats + arch state."""
-    fast_stats = fast.stats.as_dict()
-    other_stats = other.stats.as_dict()
-    if fast_stats != other_stats:
-        for key in sorted(set(fast_stats) | set(other_stats)):
-            a, b = fast_stats.get(key), other_stats.get(key)
+@dataclass(frozen=True)
+class RunOutcome:
+    """What one finished run leaves behind, in the shape every arm shares:
+    a cycle kernel, an engine tier or the oracle."""
+
+    stats: dict | None  #: the ``PipelineStats`` dict; None for the oracle
+    execution: dict  #: the ``ExecutionStats`` dict
+    accum: int
+    flag: bool
+    sp: int
+    memory: dict[int, int]  #: final byte image (code + data + stack)
+
+    @classmethod
+    def of_machine(cls, cpu: CrispCpu | ReferenceCpu) -> RunOutcome:
+        stats = cpu.stats.as_dict()
+        return cls(stats, stats["execution"], cpu.state.accum,
+                   cpu.state.flag, cpu.state.sp, cpu.memory.snapshot())
+
+
+def _compare(label: str, left: RunOutcome, right: RunOutcome,
+             names: tuple[str, str], out: list[str]) -> None:
+    """Append one line per difference between two outcomes.
+
+    Two machines compare their whole stats dicts (``ExecutionStats``
+    included); against the oracle, which has none, ``ExecutionStats`` is
+    compared on its own.
+    """
+    left_name, right_name = names
+    if left.stats is not None and right.stats is not None:
+        for key in sorted(left.stats.keys() | right.stats.keys()):
+            a, b = left.stats.get(key), right.stats.get(key)
             if a != b:
-                out.append(f"{label} stats.{key}: fast {a} != {name} {b}")
-    if fast.memory.snapshot() != other.memory.snapshot():
-        out.append(f"{label} memory: fast != {name}")
+                out.append(f"{label} stats.{key}: {left_name} {a} != "
+                           f"{right_name} {b}")
+    elif left.execution != right.execution:
+        out.append(f"{label} ExecutionStats: {left_name} != {right_name}")
+    if left.memory != right.memory:
+        out.append(f"{label} memory: {left_name} != {right_name}")
     for attr in ("accum", "flag", "sp"):
-        a, b = getattr(fast.state, attr), getattr(other.state, attr)
+        a, b = getattr(left, attr), getattr(right, attr)
         if a != b:
-            out.append(f"{label} state.{attr}: fast {a} != {name} {b}")
+            out.append(f"{label} state.{attr}: {left_name} {a} != "
+                       f"{right_name} {b}")
 
 
-def _compare_arch(label: str, fast: CrispCpu,
-                  oracle: OracleResult, out: list[str]) -> None:
-    if fast.memory.snapshot() != oracle.memory:
-        out.append(f"{label} memory: kernel != oracle")
-    for attr in ("accum", "flag", "sp"):
-        a, b = getattr(fast.state, attr), getattr(oracle, attr)
-        if a != b:
-            out.append(f"{label} state.{attr}: kernel {a} != oracle {b}")
-    if fast.stats.execution.as_dict() != oracle.execution.as_dict():
-        out.append(f"{label} ExecutionStats: kernel != oracle")
+def _check_counts(label: str, stats: dict, timing: dict[str, int],
+                  keys: Iterable[str], out: list[str]) -> None:
+    """The kernel's ``keys`` counters must equal the oracle's."""
+    for key in keys:
+        if stats[key] != timing[key]:
+            out.append(f"{label} {key}: kernel {stats[key]} != oracle "
+                       f"{timing[key]}")
+
+
+def _finish(program: Program, config: CpuConfig, arm: str,
+            max_cycles: int, warm: bool) -> RunOutcome:
+    """Run one arm to the end: the reference kernel or an engine tier."""
+    if arm == "reference":
+        cpu = ReferenceCpu(program, config)
+    else:
+        cpu = CrispCpu(program, dataclasses.replace(config, engine=arm))
+    if warm:
+        cpu.warm_cache()
+    cpu.run(max_cycles)
+    return RunOutcome.of_machine(cpu)
+
+
+def _compare_arms(label: str, program: Program, config: CpuConfig,
+                  fast: RunOutcome, arms: tuple[str, ...], max_cycles: int,
+                  warm: bool, out: list[str]) -> None:
+    """Run every arm under ``config``; each must equal the fast kernel."""
+    for arm in arms:
+        try:
+            outcome = _finish(program, config, arm, max_cycles, warm)
+        except _EXEC_ERRORS as exc:
+            out.append(f"{label} {arm} kernel failed: {exc}")
+        else:
+            _compare(label, fast, outcome, (FAST, arm), out)
+
+
+def _check_attribution(program: Program, config: CpuConfig,
+                       engines: tuple[str, ...], max_cycles: int,
+                       out: list[str]) -> None:
+    """On every engine, the per-site table must reconcile with the
+    aggregate counters and equal the fast kernel's table. A sink is
+    attached, so a tier that batches cycles must fall back to per-cycle
+    probes; equal tables pin that guard too."""
+    tables = {}
+    for engine in engines:
+        cpu, tables[engine] = attribute_run(
+            program, dataclasses.replace(config, engine=engine),
+            max_cycles=max_cycles)
+        prefix = "attribution" if engine == FAST else f"{engine} attribution"
+        out.extend(f"{prefix}: {problem}"
+                   for problem in tables[engine].reconcile(cpu.stats))
+    for engine in engines:
+        if engine != FAST and \
+                tables[engine].as_dict() != tables[FAST].as_dict():
+            out.append(f"attribution table: {FAST} != {engine}")
 
 
 def run_differential(program: Program,
@@ -198,36 +284,32 @@ def run_differential(program: Program,
                      check_attribution: bool = True,
                      max_cycles: int = 5_000_000,
                      inject: str | None = None,
-                     engines: tuple[str, ...] = ("fast",),
+                     engines: tuple[str, ...] = ENGINE_MATRIX[FAST],
                      ) -> tuple[list[str], OracleResult | None]:
-    """Run all three implementations; return (mismatches, oracle result).
+    """Run every arm and the oracle; return (mismatches, oracle result).
 
-    An empty mismatch list means full 3-way agreement. If the oracle
-    *and* both kernels fail to complete (non-terminating or faulting
-    program — possible for shrinker candidates, never for generated
-    programs), that counts as agreement and returns ``([], None)``.
+    An empty mismatch list means full agreement. If the oracle *and* the
+    fast kernel fail to complete (non-terminating or faulting program —
+    possible for shrinker candidates, never for generated programs),
+    that counts as agreement and returns ``([], None)``.
 
     ``inject`` (e.g. ``"always-wrong"``) turns on misprediction fault
-    injection in both cycle kernels. The oracle does not model injected
-    faults, so exact timing checks are skipped in that regime; the two
+    injection in every cycle kernel. The oracle does not model injected
+    faults, so exact timing checks are skipped in that regime; the
     kernels must still agree bitwise, architectural state must still
     match the oracle, and the timing-independent counts (issued /
     executed / folded) must still be oracle-exact — injected recoveries
     refetch the verified-correct path, so they may only add cycles,
     never instructions.
 
-    ``engines`` widens the matrix: with ``"blockspec"`` included, a
-    fourth arm runs the trace-compiled tier under the same ideal and
-    stress configurations and must be bitwise identical to the fast
-    kernel — full ``PipelineStats``, attribution table, every memory
-    byte. (Under dynamic-fold policies the blockspec engine falls back
-    to the per-cycle loop, so the check is exercised across the whole
-    policy mix either way.)
+    ``engines`` is an :data:`ENGINE_MATRIX` value. Every engine in it
+    besides the fast kernel is one more arm, run under the same ideal
+    and stress configurations as the reference kernel and compared
+    bitwise against the fast kernel — full ``PipelineStats``, every
+    memory byte, and the attribution table.
     """
     if policy is None:
         policy = FoldPolicy.crisp()
-    blockspec = "blockspec" in engines
-    mismatches: list[str] = []
 
     oracle: OracleResult | None = None
     oracle_error: Exception | None = None
@@ -237,116 +319,57 @@ def run_differential(program: Program,
         oracle_error = exc
 
     config = ideal_config(program, policy, inject=inject)
-    fast = CrispCpu(program, config)
-    fast.warm_cache()
     try:
-        fast.run(max_cycles)
+        fast = _finish(program, config, FAST, max_cycles, warm=True)
     except _EXEC_ERRORS as exc:
         if oracle_error is not None:
             return [], None  # all implementations agree the program is bad
-        return [f"ideal fast kernel failed but oracle halted: {exc}"], oracle
+        return [f"ideal {FAST} kernel failed but oracle halted: {exc}"], \
+            oracle
     if oracle_error is not None:
-        return [f"ideal fast kernel halted but oracle failed: "
+        return [f"ideal {FAST} kernel halted but oracle failed: "
                 f"{oracle_error}"], None
     assert oracle is not None
+    expected = RunOutcome(None, oracle.execution.as_dict(), oracle.accum,
+                          oracle.flag, oracle.sp, oracle.memory)
+    timing = oracle.timing_dict()
+    arms = ("reference", *(engine for engine in engines if engine != FAST))
+    mismatches: list[str] = []
 
-    ref = ReferenceCpu(program, config)
-    ref.warm_cache()
-    try:
-        ref.run(max_cycles)
-    except _EXEC_ERRORS as exc:
-        return [f"ideal reference kernel failed: {exc}"], oracle
-
-    _compare_runs("ideal", fast, ref, "reference", mismatches)
-    fast_stats = fast.stats.as_dict()
+    _compare_arms("ideal", program, config, fast, arms, max_cycles,
+                  True, mismatches)
     if inject is None:
-        for key, want in oracle.timing_dict().items():
-            got = fast_stats[key]
-            if got != want:
-                mismatches.append(
-                    f"ideal {key}: kernel {got} != oracle {want}")
-        if fast.stats.dynamic_folds < oracle.dynamic_folds:
-            mismatches.append(
-                f"ideal dynamic_folds: kernel {fast.stats.dynamic_folds} "
-                f"below oracle correct-path count {oracle.dynamic_folds}")
+        _check_counts("ideal", fast.stats, timing, timing, mismatches)
     else:
-        # injected recoveries change timing but never instruction counts
-        for key in ("issued_instructions", "executed_instructions",
-                    "folded_branches"):
-            got, want = fast_stats[key], oracle.timing_dict()[key]
-            if got != want:
-                mismatches.append(
-                    f"ideal(inject) {key}: kernel {got} != oracle {want}")
-    _compare_arch("ideal", fast, oracle, mismatches)
-    if fast.stats.zero_cost_overrides < oracle.zero_cost_overrides:
-        mismatches.append(
-            f"ideal zero_cost_overrides: kernel "
-            f"{fast.stats.zero_cost_overrides} below oracle correct-path "
-            f"count {oracle.zero_cost_overrides}")
-
-    if blockspec:
-        bconfig = dataclasses.replace(config, engine="blockspec")
-        bcpu = CrispCpu(program, bconfig)
-        bcpu.warm_cache()
-        try:
-            bcpu.run(max_cycles)
-        except _EXEC_ERRORS as exc:
-            mismatches.append(f"ideal blockspec kernel failed: {exc}")
-        else:
-            _compare_runs("ideal", fast, bcpu, "blockspec", mismatches)
+        _check_counts("ideal(inject)", fast.stats, timing, _COUNT_KEYS,
+                      mismatches)
+    _compare("ideal", fast, expected, ("kernel", "oracle"), mismatches)
+    # the kernels also count these on wrong-path fetches the oracle
+    # never sees, so the oracle's correct-path count is a lower bound
+    for key in ("zero_cost_overrides",) if inject else \
+            ("dynamic_folds", "zero_cost_overrides"):
+        got, floor = fast.stats[key], getattr(oracle, key)
+        if got < floor:
+            mismatches.append(f"ideal {key}: kernel {got} below oracle "
+                              f"correct-path count {floor}")
 
     mismatches.extend(check_nextpc_invariants(program, policy))
-
     if check_attribution:
-        cpu, table = attribute_run(program, config, max_cycles=max_cycles)
-        mismatches.extend(
-            f"attribution: {problem}"
-            for problem in table.reconcile(cpu.stats))
-        if blockspec:
-            # with an attribution sink attached the blockspec engine
-            # deoptimizes every cycle, so the table must come out
-            # identical — this pins the sink guard itself
-            bcpu2, btable = attribute_run(
-                program, dataclasses.replace(config, engine="blockspec"),
-                max_cycles=max_cycles)
-            mismatches.extend(
-                f"blockspec attribution: {problem}"
-                for problem in btable.reconcile(bcpu2.stats))
-            if btable.as_dict() != table.as_dict():
-                mismatches.append(
-                    "attribution table: fast != blockspec")
+        _check_attribution(program, config, engines, max_cycles, mismatches)
 
     if stress:
         sconfig = stress_config(policy, inject=inject)
-        sfast = CrispCpu(program, sconfig)
-        sref = ReferenceCpu(program, sconfig)
         try:
-            sfast.run(max_cycles)
-            sref.run(max_cycles)
+            sfast = _finish(program, sconfig, FAST, max_cycles, warm=False)
         except _EXEC_ERRORS as exc:
-            mismatches.append(f"stress kernel failed: {exc}")
+            mismatches.append(f"stress {FAST} kernel failed: {exc}")
         else:
-            _compare_runs("stress", sfast, sref, "reference", mismatches)
-            sstats = sfast.stats.as_dict()
-            for key in ("issued_instructions", "executed_instructions",
-                        "folded_branches"):
-                got, want = sstats[key], oracle.timing_dict()[key]
-                if got != want:
-                    mismatches.append(
-                        f"stress {key}: kernel {got} != oracle {want}")
-            _compare_arch("stress", sfast, oracle, mismatches)
-            if blockspec:
-                sbcpu = CrispCpu(
-                    program, dataclasses.replace(sconfig,
-                                                 engine="blockspec"))
-                try:
-                    sbcpu.run(max_cycles)
-                except _EXEC_ERRORS as exc:
-                    mismatches.append(
-                        f"stress blockspec kernel failed: {exc}")
-                else:
-                    _compare_runs("stress", sfast, sbcpu, "blockspec",
-                                  mismatches)
+            _compare_arms("stress", program, sconfig, sfast, arms,
+                          max_cycles, False, mismatches)
+            _check_counts("stress", sfast.stats, timing, _COUNT_KEYS,
+                          mismatches)
+            _compare("stress", sfast, expected, ("kernel", "oracle"),
+                     mismatches)
 
     return mismatches, oracle
 
@@ -365,16 +388,17 @@ class FuzzTask:
     #: static CRISP policy when set
     dyn_confidence: int | None = None
     inject: str | None = None  #: misprediction fault-injection mode
-    #: :data:`ENGINE_MATRIX` key: "fast" = the 3-way check,
-    #: "blockspec"/"all" add that tier as a fourth bitwise arm
-    engine: str = "fast"
+    #: :data:`ENGINE_MATRIX` key: the engines checked besides the
+    #: reference kernel and the oracle
+    engine: str = FAST
 
 
-def task_policy(task: FuzzTask) -> FoldPolicy | None:
-    """The fold policy a task runs under (None = default static)."""
-    if task.dyn_confidence is None:
+def confidence_policy(confidence: int | None) -> FoldPolicy | None:
+    """``FoldPolicy.dynamic(confidence)``, or None (the default static
+    policy) for no confidence."""
+    if confidence is None:
         return None
-    return FoldPolicy.dynamic(confidence=task.dyn_confidence)
+    return FoldPolicy.dynamic(confidence=confidence)
 
 
 @dataclass
@@ -388,9 +412,9 @@ class ProgramReport:
     parcels: int = 0
     dyn_confidence: int | None = None  #: regime the task ran under
     inject: str | None = None
-    engine: str = "fast"  #: engine matrix the task was checked under
-    branch_cells: list[tuple[str, bool, str, str, str]] = \
-        field(default_factory=list)
+    engine: str = FAST  #: engine matrix the task was checked under
+    #: the oracle's records, as :meth:`CoverageMap.add_records` takes them
+    branch_cells: list[BranchRecord] = field(default_factory=list)
     body_cells: list[tuple[str, bool]] = field(default_factory=list)
     source: str | None = None  #: carried only for disagreeing programs
 
@@ -413,27 +437,19 @@ def run_fuzz_task(task: FuzzTask) -> ProgramReport:
             return ProgramReport(task.seed, task.profile, ok=False,
                                  mismatches=[f"assemble: {exc}"],
                                  source=source)
-    engines = ENGINE_MATRIX[task.engine]
     with span("differential", seed=task.seed):
         mismatches, oracle = run_differential(
-            program, task_policy(task), stress=task.stress,
-            inject=task.inject, engines=engines)
-    return _task_report(task, program, source, mismatches, oracle)
-
-
-def _task_report(task: FuzzTask, program: Program, source: str,
-                 mismatches: list[str], oracle) -> ProgramReport:
+            program, confidence_policy(task.dyn_confidence),
+            stress=task.stress, inject=task.inject,
+            engines=ENGINE_MATRIX[task.engine])
     report = ProgramReport(task.seed, task.profile, ok=not mismatches,
                            mismatches=mismatches,
                            parcels=program_parcels(program),
                            dyn_confidence=task.dyn_confidence,
                            inject=task.inject, engine=task.engine)
     if oracle is not None:
-        report.branch_cells = [
-            (record.opcode, record.folded, record.outcome, record.interlock,
-             record.fold_verify)
-            for record in oracle.branches]
-        report.body_cells = list(oracle.body_records)
+        report.branch_cells = oracle.branches
+        report.body_cells = oracle.body_records
     if mismatches:
         report.source = source
     return report

@@ -304,3 +304,53 @@ class TestCrispObsExitCodes:
         bad = tmp_path / "mangled.json"
         bad.write_text("{not json")
         assert obs_main(["diff", str(bad), str(bad)]) == 2
+
+
+def _exit_code(main, argv):
+    """The status a console script ends with, by return or SystemExit."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def _obs_main(argv):
+    from repro.obs.cli import main
+    return main(argv)
+
+
+def _trace_main(argv):
+    from repro.trace.cli import main
+    return main(argv)
+
+
+def _verify_main(argv):
+    from repro.verify.cli import main
+    return main(argv)
+
+
+class TestBadArgumentsExit2:
+    """Bad input ends in an ``error:`` line and exit 2, not a traceback."""
+
+    @pytest.mark.parametrize("main, argv", (
+        (eval_main, ["table4"]),
+        (_obs_main, ["run", "--table4-baseline", "unused.json"]),
+        (_verify_main, ["fuzz", "--programs", "1"]),
+    ), ids=("crisp-eval", "crisp-obs", "crisp-verify"))
+    def test_negative_jobs(self, main, argv, capsys):
+        assert _exit_code(main, argv + ["--jobs", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "--jobs" in err
+
+    @pytest.mark.parametrize("main, argv", (
+        (asm_main, []),
+        (cc_main, []),
+        (sim_main, []),
+        (_trace_main, ["info"]),
+        (_verify_main, ["replay"]),
+    ), ids=("crisp-asm", "crisp-cc", "crisp-sim", "crisp-trace",
+            "crisp-verify"))
+    def test_missing_input_file(self, main, argv, tmp_path, capsys):
+        missing = str(tmp_path / "missing.s")
+        assert _exit_code(main, argv + [missing]) == 2
+        assert f"error: cannot read {missing}: " in capsys.readouterr().err

@@ -57,6 +57,13 @@ class TestPipelineDoc:
         assert f"default {config.mem_latency}" in text
         assert str(config.icache_entries) in text
 
+    def test_engine_tier_table_matches_registry(self):
+        from repro.sim.cpu import ENGINES
+        section = read("docs/pipeline.md").split("## Engine tiers")[1]
+        section = section.split("\n## ")[0]
+        tiers = re.findall(r"^\| `(\w+)` \|", section, re.MULTILINE)
+        assert sorted(tiers) == sorted((*ENGINES, "reference"))
+
 
 class TestReadme:
     def test_examples_listed_exist(self):

@@ -8,15 +8,21 @@ fails under the bug and passes without it.
 """
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 import repro.sim.eu as eu
 from repro.asm.assembler import assemble
 from repro.eval.parallel import map_ordered
+from repro.sim.cpu import ENGINES, CrispCpu
+from repro.sim.reference import ReferenceCpu
+from repro.sim.semantics import SimulationError
 from repro.verify.cli import main
 from repro.verify.generator import PROFILES
 from repro.verify.runner import (
+    ENGINE_MATRIX,
     FuzzTask,
     program_parcels,
     run_differential,
@@ -82,6 +88,61 @@ class TestInjectedBug:
                             {"RR": 3, "OR": 2, "IR": 1})
         mismatches, _ = run_differential(program)
         assert mismatches == []
+
+
+class TestEveryArmCanFail:
+    """Each arm of the full matrix catches a divergence of its own: a
+    fast path whose verification arm never fires is no check at all."""
+
+    ARMS = ("reference", *ENGINES[1:])
+
+    @staticmethod
+    def _patch_arm(monkeypatch, arm, after):
+        """Run ``after(cpu)`` once ``arm``'s machine finishes, only there."""
+        machine = ReferenceCpu if arm == "reference" else CrispCpu
+        original = machine.run
+
+        def run(cpu, *args, **kwargs):
+            stats = original(cpu, *args, **kwargs)
+            if machine is ReferenceCpu or cpu.config.engine == arm:
+                after(cpu)
+            return stats
+        monkeypatch.setattr(machine, "run", run)
+
+    @staticmethod
+    def _differential(**options):
+        corpus = Path(__file__).parent / "corpus"
+        program = assemble((corpus / "fold_d0_loop.s").read_text())
+        return run_differential(program, engines=ENGINE_MATRIX["all"],
+                                **options)
+
+    @pytest.mark.parametrize("arm", ARMS)
+    def test_one_cycle_late_arm_is_reported(self, arm, monkeypatch):
+        def late(cpu):
+            cpu.stats.cycles += 1
+        self._patch_arm(monkeypatch, arm, late)
+        mismatches, oracle = self._differential()
+        cycles = oracle.cycles
+        assert (f"ideal stats.cycles: fast {cycles} != {arm} {cycles + 1}"
+                in mismatches)
+        stress = [re.fullmatch(rf"stress stats\.cycles: fast (\d+) != "
+                               rf"{arm} (\d+)", line)
+                  for line in mismatches]
+        fast, late_arm = next(map(int, match.groups())
+                              for match in stress if match)
+        assert late_arm == fast + 1
+        assert all(arm in line for line in mismatches), mismatches
+
+    @pytest.mark.parametrize("arm", ARMS)
+    def test_failing_arm_is_named(self, arm, monkeypatch):
+        def fail(_cpu):
+            raise SimulationError("injected")
+        self._patch_arm(monkeypatch, arm, fail)
+        # attribute_run builds the patched machine too, and its error
+        # would propagate out of the differential
+        mismatches, _ = self._differential(check_attribution=False)
+        for regime in ("ideal", "stress"):
+            assert f"{regime} {arm} kernel failed: injected" in mismatches
 
 
 class TestCli:
