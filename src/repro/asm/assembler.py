@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.asm.parser import (
+    AssemblyError,
     OperandExpr,
     Statement,
     TargetExpr,
@@ -42,10 +43,6 @@ from repro.isa.operands import (
     sp_off,
 )
 from repro.isa.parcels import PARCEL_BYTES, fits_short_branch
-
-
-class AssemblyError(ValueError):
-    """Raised when a source program cannot be assembled."""
 
 
 _PLAIN_MNEMONICS = {

@@ -25,7 +25,16 @@ import re
 from dataclasses import dataclass, field
 
 
-class AsmSyntaxError(ValueError):
+class AssemblyError(ValueError):
+    """Raised when a source program cannot be assembled.
+
+    Defined here, at the first stage that raises it, so the parser's own
+    :class:`AsmSyntaxError` is one; :mod:`repro.asm.assembler` re-exports
+    it.
+    """
+
+
+class AsmSyntaxError(AssemblyError):
     """Raised on malformed assembly text, with line information."""
 
     def __init__(self, message: str, line_no: int, line: str) -> None:

@@ -5,11 +5,17 @@ compiler back end, and both simulators: a list of instructions with fixed
 byte addresses, a symbol table, an initialized data image and an entry
 point. :meth:`Program.parcel_image` renders the instruction stream to raw
 16-bit parcels, which is what the cycle simulator's prefetch unit consumes.
+
+A program is not changed once assembled: simulators copy its image into
+their own memory, and caches share one program between callers. Its
+parcel image is therefore rendered once per program.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Any, Mapping
 
 from repro.isa.encoding import encode_instruction
 from repro.isa.instructions import Instruction
@@ -75,13 +81,24 @@ class Program:
             object.__setattr__(self, "_addr_index_cache", cached)
         return cached
 
-    def parcel_image(self) -> dict[int, int]:
-        """Render code to a map of byte address -> 16-bit parcel."""
-        image: dict[int, int] = {}
-        for address, instruction in zip(self.addresses, self.instructions):
-            for i, parcel in enumerate(encode_instruction(instruction)):
-                image[address + i * PARCEL_BYTES] = parcel
+    def parcel_image(self) -> Mapping[int, int]:
+        """Code as a read-only map of byte address -> 16-bit parcel,
+        rendered on the first call."""
+        image = self.__dict__.get("_parcel_image")
+        if image is None:
+            rendered: dict[int, int] = {}
+            for address, instruction in zip(self.addresses,
+                                            self.instructions):
+                for i, parcel in enumerate(encode_instruction(instruction)):
+                    rendered[address + i * PARCEL_BYTES] = parcel
+            image = self._parcel_image = MappingProxyType(rendered)
         return image
+
+    def __getstate__(self) -> dict[str, Any]:
+        # a mappingproxy cannot be pickled; the image is rendered again
+        state = dict(self.__dict__)
+        state.pop("_parcel_image", None)
+        return state
 
     def data_image(self) -> dict[int, int]:
         """Render the data segment to a map of byte address -> 32-bit word."""

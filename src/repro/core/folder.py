@@ -11,6 +11,11 @@ model in :mod:`repro.core.nextpc`.
 Note what falls out of tagging entries by their starting address: a jump
 *into* a folded-away branch simply misses the cache, and the branch is
 re-decoded standalone at its own address.
+
+An entry is a pure function of the parcels its decode read and the
+policy, so a :data:`DecodeTable` can hand a decode to a later caller once
+those parcels are checked (:meth:`BranchFolder.lookup`,
+:meth:`BranchFolder.decode_into`).
 """
 
 from __future__ import annotations
@@ -24,14 +29,21 @@ from repro.isa.encoding import (
     EncodingError,
     decode_instruction,
     instruction_length,
-    peek_opcode,
+    is_branch_parcel,
 )
-from repro.isa.opcodes import is_branch_opcode
 from repro.isa.instructions import Instruction
 from repro.isa.parcels import PARCEL_BYTES
 
 ParcelReader = Callable[[int], int]
 """Reads the 16-bit parcel at a byte address."""
+
+DecodeRecord = tuple[tuple[int, ...], int, DecodedEntry]
+"""One decode, as a decode table keeps it: the parcels the decode read
+(contiguous from the entry's address, see :func:`decode_span`),
+:meth:`BranchFolder.parcels_needed` and the frozen entry."""
+
+DecodeTable = dict[int, DecodeRecord]
+"""pc -> the latest :data:`DecodeRecord` there, under one fold policy."""
 
 
 def _decode_at(read_parcel: ParcelReader, pc: int) -> Instruction:
@@ -120,8 +132,39 @@ class BranchFolder:
         first = self.read_parcel(pc)
         needed = instruction_length(first)
         if (self.policy.enabled
-                and not is_branch_opcode(peek_opcode(first))
+                and not is_branch_parcel(first)
                 and needed in self.policy.body_lengths):
             # peek the follower's first parcel to decide folding
             return needed + 1
         return needed
+
+    def lookup(self, table: DecodeTable, pc: int) -> DecodeRecord | None:
+        """``table``'s record at ``pc``, if every parcel it read still
+        reads the same through this folder's reader; else None.
+
+        The entry is a pure function of those parcels and the policy, so
+        a record that passes is exactly what a fresh decode would give.
+        """
+        record = table.get(pc)
+        if record is None:
+            return None
+        read = self.read_parcel
+        address = pc
+        for parcel in record[0]:
+            if read(address) != parcel:
+                return None
+            address += PARCEL_BYTES
+        return record
+
+    def decode_into(self, table: DecodeTable, pc: int,
+                    needed: int) -> DecodedEntry:
+        """Decode the entry at ``pc`` afresh and record it in ``table``
+        (replacing any record there), with ``needed`` as its
+        :meth:`parcels_needed`. Undecodable bytes raise
+        :class:`EncodingError` and leave the table as it was."""
+        entry = self.decode(pc)
+        read = self.read_parcel
+        table[pc] = (tuple(read(pc + i * PARCEL_BYTES)
+                           for i in range(decode_span(read, entry))),
+                     needed, entry)
+        return entry

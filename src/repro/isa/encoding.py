@@ -26,6 +26,7 @@ from repro.isa.instructions import BranchMode, BranchSpec, Instruction
 from repro.isa.opcodes import (
     OpClass,
     Opcode,
+    is_branch_opcode,
     is_short_branch_opcode,
     opcode_class,
 )
@@ -45,7 +46,6 @@ class EncodingError(ValueError):
 
 
 _OPCODE_LIST = list(Opcode)
-_OPCODE_INDEX = {opcode: i for i, opcode in enumerate(_OPCODE_LIST)}
 
 # operand descriptor values
 _DESC_NONE = 0
@@ -103,13 +103,52 @@ def _decode_descriptor(desc: int, extension: int | None) -> Operand:
     raise EncodingError(f"bad operand descriptor {desc}")
 
 
-def _descriptor_needs_extension(desc: int) -> bool:
-    return desc in (_DESC_EXT_IMM, _DESC_EXT_ABS, _DESC_EXT_SPOFF)
+# ---- decode tables -----------------------------------------------------------
+#
+# The decoder indexes plain lists by the base parcel's 6-bit opcode field
+# and 5-bit operand descriptors, so it never hashes an ``Opcode`` or
+# ``OpClass`` member (``Enum.__hash__`` is a Python-level call, and the PDU
+# decodes on every decoded-cache miss).
+
+_NUM_OPCODES = len(_OPCODE_LIST)
+
+# _LENGTH_AT holds, per opcode field, a fixed parcel count or one of
+# these two rules
+_BY_DESCRIPTORS = 0  #: 1 + both descriptors' extension parcels
+_BY_FRAME_SIZE = -1  #: 3 when the frame-size field is all ones, else 1
+
+
+def _length_rule(opcode: Opcode) -> int:
+    cls = opcode_class(opcode)
+    if cls in (OpClass.NOP, OpClass.HALT, OpClass.RETURN):
+        return 1
+    if cls is OpClass.FRAME:
+        return _BY_FRAME_SIZE
+    if cls in (OpClass.JMP, OpClass.CONDJMP, OpClass.CALL):
+        return 1 if is_short_branch_opcode(opcode) else 3
+    return _BY_DESCRIPTORS
+
+
+_LENGTH_AT = [_length_rule(opcode) for opcode in _OPCODE_LIST]
+_CLASS_AT = [opcode_class(opcode) for opcode in _OPCODE_LIST]
+_SHORT_BRANCH_AT = [is_short_branch_opcode(opcode) for opcode in _OPCODE_LIST]
+_BRANCH_AT = [is_branch_opcode(opcode) for opcode in _OPCODE_LIST]
+
+#: extension parcels each operand descriptor adds (0 or 2)
+_EXTENSION_PARCELS = [
+    2 if desc in (_DESC_EXT_IMM, _DESC_EXT_ABS, _DESC_EXT_SPOFF) else 0
+    for desc in range(32)]
+
+#: the operand of each descriptor that encodes it in-parcel; operands are
+#: frozen, so every decode shares these
+_INLINE_OPERAND = [None if desc == _DESC_NONE or _EXTENSION_PARCELS[desc]
+                   else _decode_descriptor(desc, None) for desc in range(32)]
 
 
 def encode_instruction(instruction: Instruction) -> list[int]:
     """Encode ``instruction`` into its list of 16-bit parcels."""
-    opbits = _OPCODE_INDEX[instruction.opcode] << 10
+    index = instruction.opcode_index
+    opbits = index << 10
     cls = instruction.op_class
 
     if cls in (OpClass.NOP, OpClass.HALT, OpClass.RETURN):
@@ -126,7 +165,7 @@ def encode_instruction(instruction: Instruction) -> list[int]:
     if instruction.is_branch:
         spec = instruction.branch
         assert spec is not None
-        if is_short_branch_opcode(instruction.opcode):
+        if _SHORT_BRANCH_AT[index]:
             displacement_parcels = spec.value // PARCEL_BYTES
             return [opbits | (displacement_parcels & 0x3FF)]
         high, low = split_word(spec.value)
@@ -157,33 +196,25 @@ def instruction_length(first_parcel: int) -> int:
     This is what the PDU's length decoder does to step the instruction
     queue (``ilen<0:2>`` in the paper's Figure 2).
     """
-    opcode = _opcode_from_parcel(first_parcel)
-    cls = opcode_class(opcode)
-    if cls in (OpClass.NOP, OpClass.HALT, OpClass.RETURN):
-        return 1
-    if cls is OpClass.FRAME:
-        return 3 if (first_parcel & 0x3FF) == 0x3FF else 1
-    if cls in (OpClass.JMP, OpClass.CONDJMP, OpClass.CALL):
-        return 1 if is_short_branch_opcode(opcode) else 3
-    desc1 = (first_parcel >> 5) & 0x1F
-    desc2 = first_parcel & 0x1F
-    extensions = sum(
-        1 for d in (desc1, desc2) if _descriptor_needs_extension(d)
-    )
-    return 1 + 2 * extensions
-
-
-def peek_opcode(first_parcel: int) -> Opcode:
-    """Extract the opcode from a base parcel without full decode
-    (what the PDU's first-level decoder does)."""
-    return _opcode_from_parcel(first_parcel)
-
-
-def _opcode_from_parcel(parcel: int) -> Opcode:
-    index = (parcel >> 10) & 0x3F
-    if index >= len(_OPCODE_LIST):
+    index = (first_parcel >> 10) & 0x3F
+    if index >= _NUM_OPCODES:
         raise EncodingError(f"illegal opcode index {index}")
-    return _OPCODE_LIST[index]
+    length = _LENGTH_AT[index]
+    if length > 0:
+        return length
+    if length == _BY_DESCRIPTORS:
+        return (1 + _EXTENSION_PARCELS[(first_parcel >> 5) & 0x1F]
+                + _EXTENSION_PARCELS[first_parcel & 0x1F])
+    return 3 if (first_parcel & 0x3FF) == 0x3FF else 1
+
+
+def is_branch_parcel(first_parcel: int) -> bool:
+    """True when a base parcel starts a control-transfer instruction
+    (what the PDU's first-level decoder tells from the opcode alone)."""
+    index = (first_parcel >> 10) & 0x3F
+    if index >= _NUM_OPCODES:
+        raise EncodingError(f"illegal opcode index {index}")
+    return _BRANCH_AT[index]
 
 
 def decode_instruction(parcels: Sequence[int], offset: int = 0) -> Instruction:
@@ -196,13 +227,14 @@ def decode_instruction(parcels: Sequence[int], offset: int = 0) -> Instruction:
     if offset >= len(parcels):
         raise EncodingError("decode past end of parcel stream")
     base = parcels[offset]
-    opcode = _opcode_from_parcel(base)
-    cls = opcode_class(opcode)
     length = instruction_length(base)
+    index = (base >> 10) & 0x3F
+    opcode = _OPCODE_LIST[index]
     if offset + length > len(parcels):
         raise EncodingError(
             f"truncated instruction: {opcode.value} needs {length} parcels"
         )
+    cls = _CLASS_AT[index]
 
     if cls in (OpClass.NOP, OpClass.HALT, OpClass.RETURN):
         return Instruction(opcode)
@@ -214,7 +246,7 @@ def decode_instruction(parcels: Sequence[int], offset: int = 0) -> Instruction:
         return Instruction(opcode, (Operand(AddrMode.IMM, size),))
 
     if cls in (OpClass.JMP, OpClass.CONDJMP, OpClass.CALL):
-        if is_short_branch_opcode(opcode):
+        if _SHORT_BRANCH_AT[index]:
             displacement = to_s10(base & 0x3FF) * PARCEL_BYTES
             spec = BranchSpec(BranchMode.PC_RELATIVE, displacement)
         else:
@@ -226,17 +258,17 @@ def decode_instruction(parcels: Sequence[int], offset: int = 0) -> Instruction:
         return Instruction(opcode, (), spec)
 
     # ALU / compare
-    descs = [(base >> 5) & 0x1F, base & 0x1F]
     operands: list[Operand] = []
     cursor = offset + 1
-    for desc in descs:
+    for desc in ((base >> 5) & 0x1F, base & 0x1F):
         if desc == _DESC_NONE:
             continue
-        extension = None
-        if _descriptor_needs_extension(desc):
+        if _EXTENSION_PARCELS[desc]:
             extension = join_parcels(parcels[cursor], parcels[cursor + 1])
             cursor += 2
-        operands.append(_decode_descriptor(desc, extension))
+            operands.append(_decode_descriptor(desc, extension))
+        else:
+            operands.append(_INLINE_OPERAND[desc])
     try:
         return Instruction(opcode, tuple(operands))
     except ValueError as exc:

@@ -25,6 +25,7 @@ from repro.sim.eu import ExecutionUnit
 from repro.sim.icache import DecodedICache
 from repro.sim.memory import Memory
 from repro.sim.pdu import PrefetchDecodeUnit
+from repro.sim.progcache import default_cache, predecode_cached
 from repro.sim.semantics import MachineState, SimulationHungError
 from repro.sim.stats import PipelineStats
 
@@ -104,12 +105,16 @@ class CrispCpu:
         #: only) and the EU (folds, trains, untrains)
         self.dyn = (DynamicFoldUnit(self.config.fold_policy)
                     if self.config.fold_policy.dynamic_fold else None)
+        #: the PDU decodes through the process's table for this policy,
+        #: so machines share decodes (see repro.sim.progcache)
         self.pdu = PrefetchDecodeUnit(
             self.memory, self.icache, self.config.fold_policy,
             mem_latency=self.config.mem_latency,
             decode_latency=self.config.decode_latency,
             prefetch_depth=self.config.prefetch_depth,
-            obs=self.obs, dyn=self.dyn)
+            obs=self.obs, dyn=self.dyn,
+            decode_table=default_cache().decode_table(
+                self.config.fold_policy))
         self.eu = ExecutionUnit(self.state, self.stats, obs=self.obs,
                                 dyn=self.dyn, inject=self.config.inject)
         self._pending_interrupt: int | None = None
@@ -260,7 +265,6 @@ class CrispCpu:
         (program image, fold policy) — see :mod:`repro.sim.progcache` —
         so repeated runs of the same program decode once.
         """
-        from repro.sim.progcache import predecode_cached
         for entry in predecode_cached(self.program, self.config.fold_policy):
             self.icache.fill(entry)
 

@@ -24,8 +24,11 @@ Timing model:
   entries past the last execution-unit demand.
 
 Every decode is timed as a fresh one, but the host-side work is memoized
-per machine: an address whose parcels are unchanged since its last
-decode reuses that decode's entry (see :meth:`PrefetchDecodeUnit._decode`).
+in a decode table: an address whose parcels are unchanged since its last
+decode under the same fold policy reuses that decode's entry (see
+:meth:`PrefetchDecodeUnit._decode`). A PDU built directly keeps a
+private table; :class:`~repro.sim.cpu.CrispCpu` hands it the process's
+table for its policy (:meth:`~repro.sim.progcache.ProgramCache.decode_table`).
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.decoded import DecodedEntry
-from repro.core.folder import BranchFolder, decode_span
+from repro.core.folder import BranchFolder, DecodeTable
 from repro.core.policy import FoldPolicy
 from repro.isa.encoding import EncodingError
 from repro.isa.parcels import PARCEL_BYTES
@@ -59,7 +62,8 @@ class PrefetchDecodeUnit:
     def __init__(self, memory: Memory, icache: DecodedICache,
                  policy: FoldPolicy, *, mem_latency: int = 2,
                  decode_latency: int = 2, prefetch_depth: int = 16,
-                 obs: EventBus = NULL_BUS, dyn=None) -> None:
+                 obs: EventBus = NULL_BUS, dyn=None,
+                 decode_table: DecodeTable | None = None) -> None:
         self.memory = memory
         self.icache = icache
         self.folder = BranchFolder(memory.read_parcel, policy)
@@ -88,13 +92,12 @@ class PrefetchDecodeUnit:
         self.entries_ahead = 0  #: entries decoded since the last demand
         self.memory_accesses = 0
         self.decoded_entries = 0
-        #: decoded entries served from the decode memo (counted in
+        #: decoded entries served from the decode table (counted in
         #: decoded_entries too; only the host-side decode work is skipped)
         self.decode_memo_hits = 0
-        #: per-machine decode memo: pc -> (the parcels the decode read,
-        #: parcels_needed, entry); see _decode
-        self._memo: dict[int, tuple[tuple[int, ...], int, DecodedEntry]] = {}
-        self._read_parcel = memory.read_parcel
+        #: decode table for this PDU's policy, private unless passed in;
+        #: see _decode
+        self._memo: DecodeTable = {} if decode_table is None else decode_table
         self._starved = False  #: decoder waiting on parcels this cycle
 
     # ---- execution-unit interface -----------------------------------------
@@ -222,35 +225,22 @@ class PrefetchDecodeUnit:
         """The entry at ``pc``, or None while its QA..QE window is not
         all buffered in the ``available`` parcels.
 
-        A memo hit whose recorded parcels still match memory returns the
-        recorded entry object; a miss or a changed parcel decodes afresh.
-        Raises :class:`EncodingError` (never memoized) on undecodable
-        bytes.
+        A table record whose parcels still match memory returns the
+        recorded entry object; a miss or a changed parcel decodes afresh
+        and records the decode. Raises :class:`EncodingError` (never
+        recorded) on undecodable bytes.
         """
-        read = self._read_parcel
-        memo = self._memo.get(pc)
-        if memo is not None:
-            parcels, needed, entry = memo
-            address = pc
-            for parcel in parcels:
-                if read(address) != parcel:
-                    break
-                address += PARCEL_BYTES
-            else:
-                if available < needed:
-                    return None
-                self.decode_memo_hits += 1
-                return entry
         folder = self.folder
+        record = folder.lookup(self._memo, pc)
+        if record is not None:
+            if available < record[1]:
+                return None
+            self.decode_memo_hits += 1
+            return record[2]
         needed = folder.parcels_needed(pc)
         if available < needed:
             return None
-        entry = folder.decode(pc)
-        self._memo[pc] = (
-            tuple(read(pc + i * PARCEL_BYTES)
-                  for i in range(decode_span(read, entry))),
-            needed, entry)
-        return entry
+        return folder.decode_into(self._memo, pc, needed)
 
     def _maybe_start_fetch(self) -> None:
         if self.fetch_countdown > 0 or self.decode_pc is None:

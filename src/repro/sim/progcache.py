@@ -9,6 +9,18 @@ This module memoizes the expensive build steps behind a content hash:
 * :func:`predecode_cached` — program image + fold policy → the tuple of
   :class:`~repro.core.decoded.DecodedEntry` records ``warm_cache`` wants.
 
+Beside the LRU, a cache keeps one *decode table* per fold policy
+(:meth:`ProgramCache.decode_table`): pc → the latest decode there, with
+the parcels it read. ``predecode_cached`` and every
+:class:`~repro.sim.cpu.CrispCpu`'s PDU decode through the default
+cache's table, so an instruction is decoded once per process rather
+than once per machine. A record is reused only after each of its
+parcels is compared against the caller's own parcels (machine memory,
+or the program's parcel image), so a different program at the same pc,
+or self-modifying code, decodes afresh. The reference kernel reads and
+writes no table, which keeps the fast-vs-reference differential a check
+on it.
+
 Keys are SHA-256 digests over the *content* of the inputs (source text,
 option fields, parcel image, policy fields), never over object identities,
 so a cache hit is exactly as good as a rebuild: two processes computing
@@ -35,6 +47,8 @@ import pickle
 import tempfile
 from collections import OrderedDict
 from typing import Any, Callable
+
+from repro.core.folder import BranchFolder, DecodeTable
 
 #: default in-memory capacity; sweeps touch far fewer distinct artifacts
 DEFAULT_CAPACITY = 128
@@ -86,6 +100,8 @@ class ProgramCache:
         #: blockspec trace-compiler telemetry (see repro.sim.blockspec)
         self.blocks_compiled = 0
         self.generated_bytes = 0
+        #: policy_key -> that policy's decode table (see decode_table)
+        self._decode_tables: dict[str, DecodeTable] = {}
         self._p_quarantined = (obs.counter("progcache.quarantined")
                                if obs is not None else None)
 
@@ -125,9 +141,27 @@ class ProgramCache:
     def __contains__(self, key: str) -> bool:
         return key in self._entries
 
+    def decode_table(self, policy: Any) -> DecodeTable:
+        """The decode table for fold ``policy`` (created on first use).
+
+        Every caller with an equal policy gets the same table; see
+        :meth:`BranchFolder.lookup <repro.core.folder.BranchFolder.lookup>`
+        for how a record is revalidated. The table keeps one record per
+        pc, so it grows with the code addresses decoded, not with the
+        number of programs.
+        """
+        key = policy_key(policy)
+        table = self._decode_tables.get(key)
+        if table is None:
+            table = self._decode_tables[key] = {}
+        return table
+
     def clear(self, disk: bool = False) -> None:
-        """Drop the in-memory tier (and the disk tier when ``disk``)."""
+        """Drop the in-memory tier and every decode record (and the disk
+        tier when ``disk``)."""
         self._entries.clear()
+        for table in self._decode_tables.values():
+            table.clear()
         self.hits = self.misses = self.disk_hits = self.evictions = 0
         self.blocks_compiled = self.generated_bytes = 0
         if disk and self.disk_dir and os.path.isdir(self.disk_dir):
@@ -298,9 +332,9 @@ def predecode_cached(program: Any, policy: Any, *,
 
     The key hashes the *rendered parcel image*, not the Program object,
     so two structurally identical programs (e.g. compiled in different
-    worker processes) hit the same entry.
+    worker processes) hit the same entry. A miss decodes through the
+    cache's decode table for ``policy``, revalidated against the image.
     """
-    from repro.core.folder import BranchFolder
     if cache is None:
         cache = default_cache()
     image = program.parcel_image()
@@ -312,6 +346,13 @@ def predecode_cached(program: Any, policy: Any, *,
     def build() -> tuple:
         folder = BranchFolder(
             lambda address: image.get(address & 0xFFFFFFFF, 0), policy)
-        return tuple(folder.decode(address) for address in program.addresses)
+        table = cache.decode_table(policy)
+        entries = []
+        for address in program.addresses:
+            record = folder.lookup(table, address)
+            entries.append(
+                record[2] if record is not None else folder.decode_into(
+                    table, address, folder.parcels_needed(address)))
+        return tuple(entries)
 
     return cache.get_or_build(key, build)

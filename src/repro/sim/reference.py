@@ -18,7 +18,7 @@ Two consumers depend on it staying put:
 
 It intentionally does **not** share the optimised helpers: the point is
 an independently-written (well: independently-preserved) step function.
-Its PDU is the production timing model minus the decode memo
+Its PDU is the production timing model minus the decode table
 (:class:`ReferencePrefetchDecodeUnit`), so every decode runs afresh.
 Interrupt delivery is the one feature not carried over — the reference
 exists to check the steady-state pipeline, and the interrupt tests drive
@@ -157,8 +157,9 @@ class ReferenceMemory(Memory):
 
 
 class ReferencePrefetchDecodeUnit(PrefetchDecodeUnit):
-    """The PDU without the decode memo: every decode goes through the
-    branch folder, so fast-vs-reference differentials check the memo."""
+    """The PDU without a decode table: every decode goes through the
+    branch folder and none is recorded, so fast-vs-reference
+    differentials check the fast kernel's table."""
 
     def _decode(self, pc: int, available: int) -> DecodedEntry | None:
         if available < self.folder.parcels_needed(pc):

@@ -6,6 +6,7 @@ from repro.asm.cli import main as asm_main
 from repro.eval.cli import main as eval_main
 from repro.lang.cli import main as cc_main
 from repro.sim.cli import main as sim_main
+from repro.sim.progcache import default_cache
 
 ASSEMBLY = """
         .word i, 0
@@ -106,6 +107,8 @@ class TestCrispSim:
                          "--mem-latency", "4"]) == 0
 
     def test_cache_stats_reports_decode_memo(self, asm_file, capsys):
+        # decodes made by earlier machines in this process are hits
+        default_cache().clear()
         assert sim_main([asm_file, "--icache", "2", "--cache-stats"]) == 0
         out = capsys.readouterr().out
         line = next(line for line in out.splitlines()
@@ -354,3 +357,33 @@ class TestBadArgumentsExit2:
         missing = str(tmp_path / "missing.s")
         assert _exit_code(main, argv + [missing]) == 2
         assert f"error: cannot read {missing}: " in capsys.readouterr().err
+
+
+class TestBadProgramsExit1:
+    """A program that does not assemble or cannot run ends in one error
+    line and exit 1, not a traceback."""
+
+    @pytest.mark.parametrize("main, argv, stream, prefix", (
+        (asm_main, [], "err", "error: "),
+        (sim_main, [], "err", "error: "),
+        (_verify_main, ["replay"], "out", "{path}: ASSEMBLY ERROR: "),
+    ), ids=("crisp-asm", "crisp-sim", "crisp-verify-replay"))
+    def test_syntax_error(self, main, argv, stream, prefix, tmp_path,
+                          capsys):
+        path = tmp_path / "bad.s"
+        path.write_text("add 1 2 3\n")
+        assert main(argv + [str(path)]) == 1
+        captured = capsys.readouterr()
+        lines = getattr(captured, stream).splitlines()
+        assert lines == [prefix.format(path=path)
+                         + "line 1: bad operand '1 2 3': 'add 1 2 3'"]
+        assert "Traceback" not in captured.out + captured.err
+
+    def test_functional_run_of_empty_file(self, tmp_path, capsys):
+        path = tmp_path / "empty.s"
+        path.write_text("")
+        assert sim_main([str(path), "--functional"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("error: control reached 0x1000, not an "
+                                "instruction boundary\n")
+        assert captured.out == ""
