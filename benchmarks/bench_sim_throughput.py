@@ -22,7 +22,7 @@ repetition and empties the process's decode tables before each one
 with no decode recorded (distinct work, not a replay). Its bar is
 ``fast >= 3 x reference``.
 
-The acceptance bars are ``fast >= 2.5 x reference`` and ``blockspec >=
+The acceptance bars are ``fast >= 4.0 x reference`` and ``blockspec >=
 2.0 x fast`` in cycles/sec. The parallel runner has a
 further bar — ``--jobs 4`` sweep wall-clock at least 2x the serial
 path — which only makes sense on a multi-core host and is skipped
@@ -57,7 +57,7 @@ from repro.workloads import get_workload
 
 SMOKE = os.environ.get("BENCH_SMOKE") == "1"
 REPETITIONS = 2 if SMOKE else 3
-MIN_KERNEL_SPEEDUP = 2.5
+MIN_KERNEL_SPEEDUP = 4.0
 MIN_BLOCKSPEC_SPEEDUP = 2.0
 MIN_PARALLEL_SPEEDUP = 2.0
 MIN_MISS_HEAVY_SPEEDUP = 3.0

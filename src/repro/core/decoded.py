@@ -95,6 +95,22 @@ class DecodedEntry:
               None if branch is None else branch.opcode.value)
         cache(self, "_branch_one_parcel",
               branch is not None and branch._length_parcels == 1)
+        # the body's shape executor, bound by the fast EU the first time
+        # it executes this entry (repro.sim.semantics.bind_executor)
+        cache(self, "_executor", None)
+
+    # The executor is a generated function: it is left out of the pickled
+    # state (entries reach the predecode disk tier and worker processes)
+    # and unbound again on load.
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_executor", None)
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.__dict__["_executor"] = None
 
     @property
     def branch_pc(self) -> int:

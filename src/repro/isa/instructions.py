@@ -95,20 +95,21 @@ class Instruction:
     # of the instruction.
 
     def __post_init__(self) -> None:
-        cls = opcode_class(self.opcode)
-        expected = _OPERAND_COUNT[cls]
+        facts = _OPCODE_FACTS[self.opcode._value_]
+        cls = facts.op_class
+        expected = facts.operand_count
         if len(self.operands) != expected:
             raise ValueError(
                 f"{self.opcode.value} takes {expected} operand(s), "
                 f"got {len(self.operands)}"
             )
-        if cls in (OpClass.ALU2,) and not self.operands[0].is_writable:
+        if cls is OpClass.ALU2 and not self.operands[0].is_writable:
             raise ValueError(f"{self.opcode.value} destination must be writable")
-        branching = is_branch_opcode(self.opcode)
+        branching = facts.is_branch
         if branching and cls is not OpClass.RETURN:
             if self.branch is None:
                 raise ValueError(f"{self.opcode.value} requires a branch target")
-            if is_short_branch_opcode(self.opcode):
+            if facts.is_short_branch:
                 if self.branch.mode is not BranchMode.PC_RELATIVE:
                     raise ValueError("short branches are PC-relative only")
             elif self.branch.mode is BranchMode.PC_RELATIVE:
@@ -123,16 +124,12 @@ class Instruction:
         cache(self, "is_branch", branching)
         cache(self, "is_conditional_branch", cls is OpClass.CONDJMP)
         cache(self, "sets_flag", cls is OpClass.CMP)
-        cache(self, "opcode_index", OPCODE_INDEX[self.opcode])
-        if cls is OpClass.CONDJMP:
-            cache(self, "_branch_sense", condjmp_sense(self.opcode))
-            cache(self, "_predicted_taken",
-                  condjmp_predicted_taken(self.opcode))
-        else:
-            cache(self, "_branch_sense",
-                  BranchKind.ALWAYS if branching else None)
-            cache(self, "_predicted_taken", None)
-        parcels = self._compute_length_parcels(cls)
+        cache(self, "opcode_index", facts.index)
+        cache(self, "_branch_sense", facts.branch_sense)
+        cache(self, "_predicted_taken", facts.predicted_taken)
+        parcels = facts.length_parcels
+        if parcels is None:
+            parcels = self._compute_length_parcels(cls)
         cache(self, "_length_parcels", parcels)
         cache(self, "_length_bytes", parcels * PARCEL_BYTES)
 
@@ -163,14 +160,11 @@ class Instruction:
     # ---- encoding geometry ----------------------------------------------
 
     def _compute_length_parcels(self, cls: OpClass) -> int:
-        if cls in (OpClass.RETURN, OpClass.NOP, OpClass.HALT):
-            return 1
+        """Length of an opcode without a fixed one (see _OpcodeFacts)."""
         if cls is OpClass.FRAME:
             # ``enter`` has a dedicated 10-bit frame-size field in-parcel;
             # the all-ones pattern marks the three-parcel extended form.
             return 1 if 0 <= self.operands[0].value <= 1022 else 3
-        if is_branch_opcode(self.opcode):
-            return 1 if is_short_branch_opcode(self.opcode) else 3
         extensions = sum(0 if op.fits_in_parcel else 1 for op in self.operands)
         return 1 + 2 * extensions
 
@@ -205,6 +199,49 @@ _OPERAND_COUNT = {
     OpClass.NOP: 0,
     OpClass.HALT: 0,
 }
+
+
+@dataclass(frozen=True, slots=True)
+class _OpcodeFacts:
+    """Everything :class:`Instruction` derives from its opcode alone."""
+
+    op_class: OpClass
+    index: int  #: OPCODE_INDEX
+    operand_count: int
+    is_branch: bool
+    is_short_branch: bool
+    branch_sense: BranchKind | None  #: None unless a branch
+    predicted_taken: bool | None  #: None unless a conditional branch
+    #: parcel count when the opcode fixes it, else None (frame sizes and
+    #: operand extensions decide)
+    length_parcels: int | None
+
+
+def _opcode_facts(opcode: Opcode) -> _OpcodeFacts:
+    cls = opcode_class(opcode)
+    branching = is_branch_opcode(opcode)
+    short = is_short_branch_opcode(opcode)
+    if cls is OpClass.CONDJMP:
+        sense = condjmp_sense(opcode)
+        predicted = condjmp_predicted_taken(opcode)
+    else:
+        sense = BranchKind.ALWAYS if branching else None
+        predicted = None
+    if cls in (OpClass.RETURN, OpClass.NOP, OpClass.HALT):
+        length = 1
+    elif branching:
+        length = 1 if short else 3
+    else:
+        length = None
+    return _OpcodeFacts(cls, OPCODE_INDEX[opcode], _OPERAND_COUNT[cls],
+                        branching, short, sense, predicted, length)
+
+
+#: per-opcode facts keyed by the opcode's value string: one lookup per
+#: construction, and a str hash is cached where ``Enum.__hash__`` is a
+#: Python-level call
+_OPCODE_FACTS: dict[str, _OpcodeFacts] = {
+    opcode._value_: _opcode_facts(opcode) for opcode in Opcode}
 
 
 def nop() -> Instruction:

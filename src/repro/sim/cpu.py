@@ -9,6 +9,10 @@ at a time. Each cycle:
 3. the EU executes its RR stage (resolving branches, possibly squashing
    and redirecting) and latches its stages.
 
+:meth:`CrispCpu.run` and :meth:`CrispCpu.step` run the same fused loop
+(:meth:`CrispCpu._cycles`), which reads the cache inline and skips the
+PDU's tick on cycles where it would change nothing.
+
 Configuration knobs cover everything the benchmarks sweep: the fold
 policy, cache size, memory latency, decode depth and prefetch distance.
 """
@@ -137,47 +141,94 @@ class CrispCpu:
 
     def step(self) -> None:
         """Advance the machine by one clock cycle."""
-        self.pdu.tick()
+        self._cycles(1)
 
-        # one probe-guard read per cycle, not one per stage probe: the
-        # enabled/sink state cannot change mid-cycle
+    def _cycles(self, budget: int) -> None:
+        """The cycle loop: run up to ``budget`` clock cycles, stopping
+        after the one in which the machine halts.
+
+        Each cycle ticks the PDU, reads the Decoded Instruction Cache at
+        ``IR.Next-PC`` (inlined :meth:`DecodedICache.lookup`; a miss
+        sends a demand to the PDU), ticks the EU and delivers a pending
+        interrupt. The PDU tick is skipped while the PDU is idle —
+        nothing in flight, no fetch outstanding, and no decode possible
+        before the prefetch limit — because such a tick changes nothing
+        but its own per-tick ``_starved`` flag. On a bus without sinks
+        the demand-hit counts (``icache.hits``, ``stats.icache_hits``,
+        the ``icache.demand_hit`` probe) are kept in a local and added
+        on every exit; with a sink attached each hit is published as it
+        happens.
+        """
+        pdu = self.pdu
+        eu = self.eu
+        stats = self.stats
+        icache = self.icache
+        lines = icache._lines
+        index_mask = icache.size - 1
+        prefetch_depth = pdu.prefetch_depth
+        pdu_tick = pdu.tick
+        eu_tick = eu.tick
+        # the probe guards cannot change mid-run: nothing can attach a
+        # sink to a bus that has none
         obs_on = self._obs_on
-        fetched = None
-        if self.eu.ir_next_pc is not None:
-            address = self.eu.ir_next_pc
-            entry = self.icache.lookup(address)
-            if entry is not None:
-                fetched = entry
-                if address == self._miss_address:
-                    if obs_on:
-                        self._p_miss_latency.observe(
-                            self.stats.cycles - self._miss_cycle)
-                    self._miss_address = None
-            else:
-                self.stats.icache_misses += 1
-                if obs_on:
-                    if self._obs_sinks:
-                        self._p_demand_miss.inc(site=address)
+        detail = obs_on and bool(self._obs_sinks)
+        p_demand_hit = self._p_demand_hit
+        hits = 0
+        try:
+            for _ in range(budget):
+                if (pdu.inflight or pdu.fetch_countdown
+                        or (pdu.decode_pc is not None
+                            and pdu.entries_ahead < prefetch_depth)):
+                    pdu_tick()
+
+                fetched = None
+                address = eu.ir_next_pc
+                if address is not None:
+                    # DecodedICache.index_of: the parcel address's low bits
+                    fetched = lines[(address >> 1) & index_mask]
+                    if fetched is not None and fetched.address == address:
+                        if address == self._miss_address:
+                            if obs_on:
+                                self._p_miss_latency.observe(
+                                    stats.cycles - self._miss_cycle)
+                            self._miss_address = None
+                        if detail:
+                            icache.hits += 1
+                            stats.icache_hits += 1
+                            p_demand_hit.add()
+                        else:
+                            hits += 1
                     else:
-                        self._p_demand_miss.add()
-                if address != self._miss_address:
-                    self._miss_address = address
-                    self._miss_cycle = self.stats.cycles
-                self.pdu.demand(address)
-        if fetched is not None:
-            self.stats.icache_hits += 1
-            if obs_on:
-                self._p_demand_hit.add()
+                        fetched = None
+                        icache.misses += 1
+                        stats.icache_misses += 1
+                        if obs_on:
+                            if detail:
+                                self._p_demand_miss.inc(site=address)
+                            else:
+                                self._p_demand_miss.add()
+                        if address != self._miss_address:
+                            self._miss_address = address
+                            self._miss_cycle = stats.cycles
+                        pdu.demand(address)
 
-        self.eu.tick(fetched)
-        self.stats.cycles += 1
+                eu_tick(fetched)
+                stats.cycles += 1
 
-        if self._pending_interrupt is not None and not self.eu.halted:
-            vector = self._pending_interrupt
-            self._pending_interrupt = None
-            self.eu.take_interrupt(vector)
-            self.pdu.demand(vector)
-            self.interrupts_taken += 1
+                if self._pending_interrupt is not None and not eu.halted:
+                    vector = self._pending_interrupt
+                    self._pending_interrupt = None
+                    eu.take_interrupt(vector)
+                    pdu.demand(vector)
+                    self.interrupts_taken += 1
+                if eu.halted:
+                    break
+        finally:
+            if hits:
+                icache.hits += hits
+                stats.icache_hits += hits
+                if obs_on:
+                    p_demand_hit.add(hits)
 
     def interrupt(self, vector: int) -> None:
         """Raise an interrupt: taken precisely at the next clock edge.
@@ -201,13 +252,11 @@ class CrispCpu:
             # bit-identical across the whole config space
             return self._run_blockspec(limit)
         eu = self.eu
-        step = self.step
-        for _ in range(limit):
-            if eu.halted:
-                eu.flush_execution()  # idempotent: batch already folded
-                return self.stats
-            step()
-        eu.flush_execution()
+        if not eu.halted:
+            self._cycles(limit)
+        eu.flush_execution()  # idempotent: a halt already folded the batch
+        if eu.halted:  # also when it halted on the last budgeted cycle
+            return self.stats
         raise self._watchdog_error(limit)
 
     def _run_blockspec(self, limit: int) -> PipelineStats:
@@ -234,6 +283,8 @@ class CrispCpu:
             step()
             steps += 1
         eu.flush_execution()
+        if eu.halted:  # halted on the last budgeted cycle
+            return self.stats
         raise self._watchdog_error(limit)
 
     def _watchdog_error(self, limit: int) -> SimulationHungError:

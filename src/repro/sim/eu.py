@@ -27,13 +27,18 @@ with full bypassing and wrong-path entries never reach a result write.
 Fast-path engineering (see ``docs/pipeline.md`` for the invariants): the
 steady-state loop is allocation-free — stage latches are recycled through
 a small pool rather than constructed per fetch, entry control bits are
-plain attributes precomputed at decode time, instruction bodies dispatch
-through :data:`~repro.sim.semantics.BODY_EXECUTORS`, probe updates are
-skipped entirely on a disabled bus, and the per-instruction architectural
-counters are batched locally and flushed into
-:class:`~repro.sim.stats.ExecutionStats` when the run ends.
-``tests/test_sim_fastpath.py`` proves all of this invisible against the
-retained pre-optimization kernel in :mod:`repro.sim.reference`.
+plain attributes precomputed at decode time, an instruction body runs
+through its shape's executor (:func:`~repro.sim.semantics.bind_executor`:
+one generated function per opcode and operand addressing modes, shared
+by every entry of that shape and bound to an entry the first time it
+executes), probe updates are skipped entirely on a disabled bus, and the
+per-instruction architectural counters are batched locally and flushed
+into :class:`~repro.sim.stats.ExecutionStats` when the run ends.
+:meth:`ExecutionUnit.tick` is the one per-cycle entry point; it executes
+the RR stage and selects the path of every entry but a conditional one
+inline. ``tests/test_sim_fastpath.py`` and ``tests/test_sim_shapes.py``
+prove all of this invisible against the retained pre-optimization kernel
+in :mod:`repro.sim.reference`, which keeps its own operand if-chain.
 """
 
 from __future__ import annotations
@@ -46,7 +51,7 @@ from repro.isa.opcodes import OpClass, Opcode
 from repro.isa.parcels import to_u32
 from repro.obs.events import EventBus, NULL_BUS
 from repro.sim.dynfold import DynamicFoldUnit, ShadowRecord
-from repro.sim.semantics import BODY_EXECUTORS, MachineState
+from repro.sim.semantics import MachineState, bind_executor
 from repro.sim.stats import PipelineStats
 
 _PENALTY_BY_STAGE = {"RR": 3, "OR": 2, "IR": 1}
@@ -102,6 +107,8 @@ class ExecutionUnit:
         self._p_dynfold = obs.counter("fold.dynamic")
         self._p_verify_fail = obs.counter("fold.verify_fail")
         self._p_recovery = obs.counter("recovery.flush_cycles")
+        #: the memory's byte map, which the shape executors access inline
+        self._data = state.memory._bytes
         self.ir: StageSlot | None = None
         self.or_: StageSlot | None = None
         self.rr: StageSlot | None = None
@@ -183,12 +190,12 @@ class ExecutionUnit:
         """
         fetched = None
         if fetched_entry is not None:
-            self._seq += 1
+            seq = self._seq = self._seq + 1
             pool = self._slot_pool
             if pool:
                 fetched = pool.pop()
                 fetched.entry = fetched_entry
-                fetched.seq = self._seq
+                fetched.seq = seq
                 fetched.valid = True
                 fetched.chosen_taken = None
                 fetched.other_pc = None
@@ -197,53 +204,57 @@ class ExecutionUnit:
                 fetched.speculated = False
                 fetched.shadow = None
             else:
-                fetched = StageSlot(fetched_entry, self._seq)
+                fetched = StageSlot(fetched_entry, seq)
 
         self._redirected = False
         retiring = self.rr
         if retiring is None or not retiring.valid:
             self.stats.stall_cycles += 1  # this cycle's RR does no work
         else:
-            self._execute_rr(fetched)
+            # ---- RR stage: the entry's body, then its branch part
+            entry = retiring.entry
+            stats = self.stats
+            stats.issued_instructions += 1
+            self.retire_next_pc = entry.sequential
+            body = entry.body
+            halted = False
+            if body is not None:
+                run = entry._executor
+                if run is None:
+                    run = bind_executor(entry)
+                halted = run(self.state, self._data, body.operands)
+                stats.executed_instructions += 1
+                self._x_instructions += 1
+                counts = self._x_opcode_counts
+                name = entry._body_name
+                counts[name] = counts.get(name, 0) + 1
+                if halted:
+                    self.halted = True
+                    self.flush_execution()
+            if not halted:
+                if entry.sets_cc:
+                    self._resolve_dependents(retiring, fetched)
+                if entry.branch is not None:
+                    self._execute_branch_part(retiring, fetched)
 
         # end-of-cycle latch update; the retiring RR slot returns to the
         # pool (nothing references it once it leaves the stage register)
         self.rr, self.or_, self.ir = self.or_, self.ir, fetched
         if retiring is not None:
             self._slot_pool.append(retiring)
-        latched = self.ir
-        if latched is not None and latched.valid:
-            self._select_path(latched)
 
-    # ---- RR stage ------------------------------------------------------------
+        # ---- fetch-time path selection for the entry just latched into
+        # IR, unless a resolution already redirected IR.Next-PC
+        if fetched is not None and fetched.valid and not self._redirected:
+            entry = fetched.entry
+            if entry.dynamic_target:
+                self.ir_next_pc = None  # stall fetch until RR computes it
+            elif entry.uses_cc:
+                self._select_path(fetched)
+            else:
+                self.ir_next_pc = entry.next_pc
 
-    def _execute_rr(self, fetched: StageSlot | None) -> None:
-        slot = self.rr
-        entry = slot.entry
-        stats = self.stats
-
-        stats.issued_instructions += 1
-
-        self.retire_next_pc = entry.sequential
-
-        body = entry.body
-        if body is not None:
-            halted = BODY_EXECUTORS[body.opcode_index](self.state, body)
-            stats.executed_instructions += 1
-            self._x_instructions += 1
-            counts = self._x_opcode_counts
-            name = entry._body_name
-            counts[name] = counts.get(name, 0) + 1
-            if halted:
-                self.halted = True
-                self.flush_execution()
-                return
-
-        if entry.sets_cc:
-            self._resolve_dependents(slot, fetched)
-
-        if entry.branch is not None:
-            self._execute_branch_part(slot, fetched)
+    # ---- RR stage: branch part -------------------------------------------------
 
     def _execute_branch_part(self, slot: StageSlot,
                              fetched: StageSlot | None) -> None:
@@ -465,22 +476,12 @@ class ExecutionUnit:
     # ---- fetch-time path selection ------------------------------------------
 
     def _select_path(self, slot: StageSlot) -> None:
-        """The entry just latched into IR: choose its outgoing path and set
-        ``IR.Next-PC`` (unless a resolution already redirected it)."""
+        """The conditional entry just latched into IR, with a static
+        target and no redirect this cycle: choose its outgoing path and
+        set ``IR.Next-PC``. :meth:`tick` handles every other entry."""
         entry = slot.entry
 
-        if self._redirected:
-            return  # a mispredict/dynamic redirect owns IR.Next-PC
-
-        if entry.dynamic_target:
-            self.ir_next_pc = None  # stall fetch until RR computes it
-            return
-
-        if not entry.uses_cc:
-            self.ir_next_pc = entry.next_pc
-            return
-
-        # conditional: is a condition-code write still outstanding?
+        # is a condition-code write still outstanding?
         outstanding = entry.folds_compare_and_branch
         if not outstanding:
             older = self.or_

@@ -595,6 +595,8 @@ class ReferenceCpu:
             if self.eu.halted:
                 return self.stats
             self.step()
+        if self.eu.halted:  # halted on the last budgeted cycle
+            return self.stats
         # budget exhausted: sample the next fetch addresses for the
         # diagnostic, exactly as the fast kernel's watchdog does
         pcs: list[int] = []

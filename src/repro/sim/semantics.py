@@ -11,6 +11,7 @@ differential tests in ``tests/test_sim_differential.py`` enforce this.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.isa.instructions import Instruction, resolve_target
 from repro.isa.opcodes import (
@@ -19,6 +20,7 @@ from repro.isa.opcodes import (
     OPCODE_INDEX,
     BranchKind,
     CONDITION_FUNCTIONS,
+    Condition,
     OpClass,
     Opcode,
     opcode_condition,
@@ -129,11 +131,13 @@ def branch_decision(instruction: Instruction, flag: bool) -> bool:
 
 # ---- pre-decoded body dispatch -------------------------------------------
 #
-# The cycle simulator executes entry *bodies* (never branches — those are
-# routed by the decoded cache's next-address fields) millions of times per
-# run. Dispatching through a list indexed by ``Instruction.opcode_index``
-# replaces the class if-chain and every enum hash with one list load. Each
-# handler returns True when the machine halts.
+# The functional simulator and the oracle execute instructions through a
+# list indexed by ``Instruction.opcode_index``, which replaces the class
+# if-chain and every enum hash with one list load. Each handler returns
+# True when the machine halts. The cycle simulator's fast EU runs entry
+# bodies through the shape executors further down instead, so the
+# fast-vs-reference differential checks those against the reference
+# kernel's own if-chain.
 
 
 def _make_alu2(fn):
@@ -213,7 +217,7 @@ def execute_body(state: MachineState, instruction: Instruction) -> bool:
 
     Equivalent to :func:`execute` for the opcode classes that can appear
     as a :class:`~repro.core.decoded.DecodedEntry` body, minus the
-    :class:`StepResult` allocation — the cycle simulator's hot path.
+    :class:`StepResult` allocation (the oracle's entry loop).
     """
     handler = BODY_EXECUTORS[instruction.opcode_index]
     if handler is None:
@@ -221,6 +225,7 @@ def execute_body(state: MachineState, instruction: Instruction) -> bool:
             f"branch opcode {instruction.opcode.value} cannot execute "
             f"as an entry body")
     return handler(state, instruction)
+
 
 
 def execute(state: MachineState, instruction: Instruction,
@@ -267,3 +272,185 @@ def execute(state: MachineState, instruction: Instruction,
     target = state.memory.read_word(state.sp)
     state.sp = to_u32(state.sp + 4)
     return StepResult(target, is_branch=True, taken=True)
+
+
+# ---- shape executors (the fast EU) ----------------------------------------
+#
+# A decoded-cache word is "similar to a horizontal microinstruction": the
+# PDU resolves an instruction once and the EU only executes it. The fast
+# EU therefore runs an entry body through an executor generated for the
+# body's *shape* — its opcode plus its operands' addressing modes — with
+# no addressing-mode if-chain and no Memory method call left on the
+# per-execution path. ``executor(state, data, operands)`` reads operand
+# values from the body's own operand tuple, reads and writes words inline
+# on ``data`` (the memory's byte map) with the per-byte address wrap of
+# Memory.read_word / write_word, and returns True on ``halt``. The
+# arithmetic is ALU_FUNCTIONS / CONDITION_FUNCTIONS with to_u32 / to_s32
+# spelled out; the division family calls its ALU_FUNCTIONS entry, so a
+# zero divisor raises the same ZeroDivisionError.
+#
+# A shape depends on nothing but the opcode and the modes, so one executor
+# serves every entry of that shape for the life of the process. Shapes are
+# generated on first use, never at import; the EU binds one to an entry
+# the first time it executes the entry (bind_executor).
+
+_MASK = "0xFFFFFFFF"
+
+#: ALU_FUNCTIONS as expressions over the operand values {a} and {b}
+#: ({ua}/{sa}: to_u32/to_s32 of {a}); the result is masked by the caller
+_ALU_EXPRESSIONS: dict[Opcode, str] = {
+    opcode: expression
+    for opcodes, expression in (
+        ((Opcode.MOV,), "{b}"),
+        ((Opcode.ADD, Opcode.ADD3), "{a} + {b}"),
+        ((Opcode.SUB, Opcode.SUB3), "{a} - {b}"),
+        ((Opcode.AND, Opcode.AND3), "{a} & {b}"),
+        ((Opcode.OR, Opcode.OR3), "{a} | {b}"),
+        ((Opcode.XOR, Opcode.XOR3), "{a} ^ {b}"),
+        ((Opcode.SHL, Opcode.SHL3), "{a} << ({b} & 31)"),
+        ((Opcode.SHR, Opcode.SHR3), "{ua} >> ({b} & 31)"),
+        ((Opcode.SAR, Opcode.SAR3), "{sa} >> ({b} & 31)"),
+        ((Opcode.MUL, Opcode.MUL3), "{sa} * {sb}"),
+        ((Opcode.NOT,), "~{b}"),
+        ((Opcode.NEG,), "-{b}"))
+    for opcode in opcodes}
+
+#: CONDITION_FUNCTIONS as expressions, in the same notation
+_CONDITION_EXPRESSIONS: dict[Condition, str] = {
+    Condition.EQ: "{ua} == {ub}",
+    Condition.NE: "{ua} != {ub}",
+    Condition.SLT: "{sa} < {sb}",
+    Condition.SLE: "{sa} <= {sb}",
+    Condition.SGT: "{sa} > {sb}",
+    Condition.SGE: "{sa} >= {sb}",
+    Condition.ULT: "{ua} < {ub}",
+    Condition.ULE: "{ua} <= {ub}",
+    Condition.UGT: "{ua} > {ub}",
+    Condition.UGE: "{ua} >= {ub}",
+}
+
+#: (opcode_index, *operand modes) -> that shape's executor
+_SHAPES: dict[tuple, Callable[..., bool | None]] = {}
+
+
+def _load_operand(mode: AddrMode, i: int, lines: list[str],
+                  need_value: bool) -> str | None:
+    """Append the lines that load operand ``i`` (value into ``v{i}``
+    when ``need_value``); return its address variable, or None when
+    the operand is not in memory."""
+    if mode is AddrMode.IMM:
+        if need_value:
+            lines.append(f"v{i} = o{i}.value & {_MASK}")
+        return None
+    if mode is AddrMode.ACC:
+        if need_value:
+            lines.append(f"v{i} = state.accum")
+        return None
+    address = f"a{i}"
+    if mode is AddrMode.ACC_IND:
+        lines.append(f"{address} = state.accum")
+    elif mode is AddrMode.ABS:
+        lines.append(f"{address} = o{i}.value")
+    else:
+        lines.append(f"{address} = (state.sp + o{i}.value) & {_MASK}")
+    if need_value:
+        lines.append(
+            f"v{i} = (get({address} & {_MASK}, 0)"
+            f" | get(({address} + 1) & {_MASK}, 0) << 8"
+            f" | get(({address} + 2) & {_MASK}, 0) << 16"
+            f" | get(({address} + 3) & {_MASK}, 0) << 24)")
+    return address
+
+
+def _store_word(address: str, value: str, lines: list[str]) -> None:
+    """Append Memory.write_word of the u32 ``value`` at ``address``."""
+    lines += [f"data[{address} & {_MASK}] = {value} & 0xFF",
+              f"data[({address} + 1) & {_MASK}] = ({value} >> 8) & 0xFF",
+              f"data[({address} + 2) & {_MASK}] = ({value} >> 16) & 0xFF",
+              f"data[({address} + 3) & {_MASK}] = ({value} >> 24) & 0xFF"]
+
+
+def _generate_shape(opcode: Opcode,
+                    modes: tuple[AddrMode, ...]) -> Callable[..., bool | None]:
+    """Compile the executor of one shape (see the section comment)."""
+    cls = opcode_class(opcode)
+    namespace: dict = {}
+    lines: list[str] = []
+    if cls in (OpClass.ALU2, OpClass.ALU3, OpClass.CMP):
+        if cls is OpClass.CMP:
+            template = _CONDITION_EXPRESSIONS[opcode_condition(opcode)]
+        else:
+            template = _ALU_EXPRESSIONS.get(opcode)
+            if template is None:  # the division family
+                namespace["alu"] = ALU_FUNCTIONS[opcode]
+                template = "alu({a}, {b})"
+        loads: list[str] = []
+        # an operand's value is read only when the expression uses it
+        # ({a}, {ua} or {sa}); an ALU2 destination is always addressed,
+        # because it is written
+        destination = _load_operand(modes[0], 0, loads, "a}" in template)
+        _load_operand(modes[1], 1, loads, "b}" in template)
+        # memory and immediate values are u32 already; the accumulator
+        # is masked where to_u32 / to_s32 would mask it
+        unsigned = [f"v{i}" if mode is not AddrMode.ACC
+                    else f"(v{i} & {_MASK})"
+                    for i, mode in enumerate(modes)]
+        signed = [f"(({u} ^ 0x80000000) - 0x80000000)" for u in unsigned]
+        expression = template.format(a="v0", b="v1", ua=unsigned[0],
+                                     ub=unsigned[1], sa=signed[0],
+                                     sb=signed[1])
+        lines.append("o0, o1 = ops")
+        if any("get(" in line for line in loads):
+            lines.append("get = data.get")
+        lines += loads
+        if cls is OpClass.CMP:
+            lines.append(f"state.flag = {expression}")
+        elif cls is OpClass.ALU3:
+            lines.append(f"state.accum = ({expression}) & {_MASK}")
+        else:
+            lines.append(f"r = ({expression}) & {_MASK}")
+            if modes[0] is AddrMode.ACC:
+                lines.append("state.accum = r")
+            elif destination is not None:
+                _store_word(destination, "r", lines)
+            else:  # immediate destination: raises as write_operand does
+                lines.append("state.write_operand(o0, r)")
+    elif opcode is Opcode.ENTER:
+        lines.append(f"state.sp = (state.sp - ops[0].value) & {_MASK}")
+    elif opcode is Opcode.SPADD:
+        lines.append(f"state.sp = (state.sp + ops[0].value) & {_MASK}")
+    elif cls is OpClass.NOP:
+        lines.append("pass")
+    elif cls is OpClass.HALT:
+        lines += ["state.halted = True", "return True"]
+    else:
+        raise SimulationError(
+            f"branch opcode {opcode.value} cannot execute as an entry body")
+    name = "_".join([opcode.name.lower(), *(mode.value for mode in modes)])
+    source = (f"def {name}(state, data, ops):\n"
+              + "".join(f"    {line}\n" for line in lines))
+    exec(compile(source, f"<shape {name}>", "exec"), namespace)
+    return namespace[name]
+
+
+def shape_executor(instruction: Instruction) -> Callable[..., bool | None]:
+    """The executor shared by every body with ``instruction``'s opcode
+    and operand addressing modes, generated on first use."""
+    key = (instruction.opcode_index,
+           *(operand.mode for operand in instruction.operands))
+    run = _SHAPES.get(key)
+    if run is None:
+        run = _SHAPES[key] = _generate_shape(instruction.opcode, key[1:])
+    return run
+
+
+def bind_executor(entry) -> Callable[..., bool | None]:
+    """Bind a decoded entry's body to its shape executor and return it.
+
+    The executor rides on the entry (``DecodedEntry._executor``), so it
+    is shared through the decode table and dropped with it; it is never
+    pickled.
+    """
+    run = shape_executor(entry.body)
+    object.__setattr__(entry, "_executor", run)
+    return run

@@ -8,9 +8,14 @@ timing — but the *claim* behind the design (operand accesses
 overwhelmingly land in a small window above SP) is measurable, and this
 model measures it.
 
-Attach to either simulator via :func:`attach`; every architectural
+It observes the functional simulator and the reference kernel
+(:mod:`repro.sim.reference`) via :func:`attach`; every architectural
 operand access is classified as stack-cache hit (within ``words`` words
-above the current SP), other-stack, global, or immediate-free.
+above the current SP), other-stack, global, or immediate-free. The fast
+cycle kernel's shape executors access memory words inline on the byte
+map, not through :meth:`~repro.sim.memory.Memory.read_word`, so attached
+to a :class:`~repro.sim.cpu.CrispCpu` state the model would miss every
+instruction-body operand.
 """
 
 from __future__ import annotations

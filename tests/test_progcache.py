@@ -242,6 +242,41 @@ class TestCrossProcessAndDifferential:
         assert lines[0] == first.stdout.splitlines()[0]
         assert int(lines[1]) >= 1
 
+    def test_executed_entries_predecode_to_disk_across_processes(
+            self, tmp_path, monkeypatch):
+        """Entries a machine has executed carry a shape executor; the
+        predecode tuple built from them must still reach the disk tier,
+        and another process must load it back equal."""
+        import os
+        import subprocess
+        import sys
+
+        monkeypatch.setenv("CRISP_CACHE_DIR", str(tmp_path))
+        reset_default()
+        policy = FoldPolicy.crisp()
+        program = compile_cached(SOURCE)
+        CrispCpu(program).run()
+        entries = predecode_cached(program, policy)
+        assert any(entry._executor is not None for entry in entries)
+
+        script = (
+            "from repro.core.policy import FoldPolicy\n"
+            "from repro.sim.progcache import (compile_cached,\n"
+            "                                 default_cache,\n"
+            "                                 predecode_cached)\n"
+            f"program = compile_cached({SOURCE!r})\n"
+            "entries = predecode_cached(program, FoldPolicy.crisp())\n"
+            "cache = default_cache()\n"
+            "print(cache.disk_hits, cache.misses)\n"
+            "print(repr(entries))\n")
+        loaded = subprocess.run(
+            [sys.executable, "-c", script],
+            env=dict(os.environ, CRISP_CACHE_DIR=str(tmp_path)),
+            capture_output=True, text=True, check=True)
+        counts, listing = loaded.stdout.splitlines()
+        assert counts == "2 0"  # the program and its predecode, from disk
+        assert listing == repr(entries)
+
     def test_cache_hit_bit_identical_under_differential_runner(
             self, tmp_path, monkeypatch):
         from repro.lang import compile_source
