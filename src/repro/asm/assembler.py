@@ -7,6 +7,16 @@ every label branch short and *stickily* promotes out-of-range branches to
 the long form, re-laying-out until addresses stabilize. Promotion is
 monotone, so the fixpoint always exists and is reached in at most one pass
 per branch.
+
+Only a statement whose operands name a code label has to be resolved
+again on every layout pass (at ``.org 0`` a label address of 0..7 fits an
+in-parcel immediate, so a label can change its statement's length). Every
+other statement reads literals, ``.equ`` constants and data symbols, all
+fixed before code layout starts, so it is resolved to its
+:class:`~repro.isa.instructions.Instruction` once, and each such operand
+is built once per assembly. The memos hold only successful results and
+live for one assembly: the first layout pass still resolves every
+statement in source order, so the first bad line is the one reported.
 """
 
 from __future__ import annotations
@@ -77,6 +87,24 @@ class _ProtoInstruction:
     mnemonic: str
     labels: list[str]
     force_long: bool = False  # sticky short->long promotion
+    #: a non-branch's operands name no code label: resolve it once
+    fixed: bool = False
+    #: a non-branch's latest resolution; the last layout pass resolves a
+    #: label-reading one with the final labels
+    instruction: Instruction | None = None
+
+
+@dataclass
+class _DataBlock:
+    """The words one ``.word`` or ``.reserve`` directive lays out."""
+
+    line_no: int
+    values: list[int | str]  #: ``.word`` values (numbers or symbol names)
+    reserved: int = 0  #: ``.reserve`` count, materialized after layout
+
+    @property
+    def words(self) -> int:
+        return len(self.values) or self.reserved
 
 
 def assemble(source: str,
@@ -97,19 +125,24 @@ class _Assembler:
         self.stack_top = stack_top
         self.entry_label: str | None = None
         self.equ: dict[str, int] = {}
+        self.data_blocks: dict[str, _DataBlock] = {}
         self.data_symbols: dict[str, int] = {}
         self.data: list[DataItem] = []
         self.protos: list[_ProtoInstruction] = []
         self.code_labels: dict[str, int] = {}
+        #: operands that read no code label, built once per assembly
+        self.fixed_operands: dict[OperandExpr, Operand] = {}
 
     # ---- driver ---------------------------------------------------------
 
     def run(self) -> Program:
         self._collect()
         self._layout_data()
+        for proto in self.protos:
+            proto.fixed = all(map(self._is_fixed, proto.statement.operands))
         addresses = self._layout_code()
         instructions = [
-            self._build(proto, address, addresses)
+            self._build(proto, address)
             for proto, address in zip(self.protos, addresses)
         ]
         self._build_data()
@@ -170,7 +203,7 @@ class _Assembler:
             if len(args) != 2:
                 raise AssemblyError(
                     f"line {statement.line_no}: .equ takes name, value")
-            self.equ[args[0]] = int(args[1], 0)
+            self.equ[args[0]] = self._number(args, 1, statement)
         elif name == "word":
             if not args:
                 raise AssemblyError(
@@ -183,12 +216,18 @@ class _Assembler:
                     values.append(int(raw, 0))
                 except ValueError:
                     values.append(raw)
-            self._add_data(args[0], values or [0])
+            self._add_data(args[0], _DataBlock(statement.line_no,
+                                               values or [0]))
         elif name == "reserve":
             if len(args) != 2:
                 raise AssemblyError(
                     f"line {statement.line_no}: .reserve takes name, nwords")
-            self._add_data(args[0], [0] * int(args[1], 0))
+            count = self._number(args, 1, statement)
+            if count < 0:
+                raise AssemblyError(
+                    f"line {statement.line_no}: .reserve {args[0]}: "
+                    f"negative word count {count}")
+            self._add_data(args[0], _DataBlock(statement.line_no, [], count))
         else:
             raise AssemblyError(
                 f"line {statement.line_no}: unknown directive .{name}")
@@ -201,25 +240,31 @@ class _Assembler:
             raise AssemblyError(
                 f"line {statement.line_no}: bad directive argument") from exc
 
-    def _add_data(self, name: str, values: list) -> None:
-        if not hasattr(self, "_words"):
-            self._words: list[tuple[str, list]] = []
-        if any(name == existing for existing, _ in self._words):
+    def _add_data(self, name: str, block: _DataBlock) -> None:
+        if name in self.data_blocks:
             raise AssemblyError(f"duplicate data symbol {name!r}")
-        self._words.append((name, values))
+        self.data_blocks[name] = block
 
     def _layout_data(self) -> None:
+        """Bind every data symbol. Each symbol and each word it names must
+        lie in the 32-bit address space; checked here, where the final
+        ``.dataorg`` is known and before any reserved word is built."""
         cursor = self.data_base
-        for name, values in getattr(self, "_words", []):
+        for name, block in self.data_blocks.items():
+            if cursor + 4 * max(block.words, 1) > 0x100000000:
+                raise AssemblyError(
+                    f"line {block.line_no}: data symbol {name!r} at "
+                    f"{cursor:#x} ({block.words} words) runs past "
+                    f"0xFFFFFFFF")
             self.data_symbols[name] = cursor
-            cursor += 4 * len(values)
+            cursor += 4 * block.words
 
     def _build_data(self) -> None:
         """Materialize data items, resolving label-valued words (only
         possible once code layout has bound every label)."""
-        for name, values in getattr(self, "_words", []):
+        for name, block in self.data_blocks.items():
             cursor = self.data_symbols[name]
-            for value in values:
+            for value in block.values or [0] * block.reserved:
                 if isinstance(value, str):
                     if value in self.code_labels:
                         value = self.code_labels[value]
@@ -301,15 +346,19 @@ class _Assembler:
                 return 3
             label_address = self.code_labels.get(target.name or "", address)
             return 1 if fits_short_branch(label_address - address) else 3
-        return self._resolve_plain(proto).length_parcels()
+        instruction = proto.instruction
+        if instruction is None or not proto.fixed:
+            instruction = proto.instruction = self._resolve_plain(proto)
+        return instruction.length_parcels()
 
     # ---- pass 3: final instruction construction ---------------------------
 
-    def _build(self, proto: _ProtoInstruction, address: int,
-               addresses: list[int]) -> Instruction:
+    def _build(self, proto: _ProtoInstruction, address: int) -> Instruction:
         target = proto.statement.target
         if target is None:
-            return self._resolve_plain(proto)
+            # resolved by the last layout pass, with the final labels
+            assert proto.instruction is not None
+            return proto.instruction
         return self._resolve_branch(proto, address, target)
 
     def _resolve_plain(self, proto: _ProtoInstruction) -> Instruction:
@@ -318,15 +367,31 @@ class _Assembler:
         if opcode is None:
             raise AssemblyError(
                 f"line {statement.line_no}: unknown mnemonic {proto.mnemonic!r}")
-        operands = tuple(
-            self._resolve_operand(expr, statement) for expr in statement.operands)
         try:
-            return Instruction(opcode, operands)
-        except ValueError as exc:
+            return Instruction(opcode, tuple(
+                self._resolve_operand(expr, statement)
+                for expr in statement.operands))
+        except AssemblyError:
+            raise
+        except ValueError as exc:  # an Operand or Instruction range check
             raise AssemblyError(f"line {statement.line_no}: {exc}") from exc
+
+    def _is_fixed(self, expr: OperandExpr) -> bool:
+        """True if ``expr`` reads no code label (nor an undefined name)."""
+        name = expr.name
+        return name is None or name in self.equ or name in self.data_symbols
 
     def _resolve_operand(self, expr: OperandExpr,
                          statement: Statement) -> Operand:
+        operand = self.fixed_operands.get(expr)
+        if operand is None:
+            operand = self._build_operand(expr, statement)
+            if self._is_fixed(expr):
+                self.fixed_operands[expr] = operand
+        return operand
+
+    def _build_operand(self, expr: OperandExpr,
+                       statement: Statement) -> Operand:
         if expr.kind == "imm":
             return imm(expr.value)
         if expr.kind == "acc":

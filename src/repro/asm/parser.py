@@ -80,6 +80,7 @@ class Statement:
     target: TargetExpr | None = None
 
 
+_COMMENT_RE = re.compile(r"[;#]")
 _LABEL_RE = re.compile(r"^([A-Za-z_.$][\w.$]*):")
 _NUMBER_RE = re.compile(r"^[+-]?(0[xX][0-9a-fA-F]+|\d+)$")
 _SP_OFF_RE = re.compile(r"^([+-]?(?:0[xX][0-9a-fA-F]+|\d+))\(sp\)$", re.IGNORECASE)
@@ -139,19 +140,30 @@ def parse_operand(text: str, line_no: int, line: str) -> OperandExpr:
     raise AsmSyntaxError(f"bad operand {text!r}", line_no, line)
 
 
+def _target_address(body: str, form: str, text: str, line_no: int,
+                    line: str) -> int:
+    try:
+        return _parse_number(body)
+    except ValueError:
+        raise AsmSyntaxError(f"bad {form} target {text!r}",
+                             line_no, line) from None
+
+
 def parse_target(text: str, line_no: int, line: str) -> TargetExpr:
     """Parse one branch-target expression."""
     text = text.strip()
     if text.startswith("(") and text.endswith(")"):
         inner = text[1:-1].strip()
         if inner.startswith("*"):
-            return TargetExpr("ind_abs", _parse_number(inner[1:]))
+            return TargetExpr("ind_abs", _target_address(
+                inner[1:], "indirect", text, line_no, line))
         match = _SP_OFF_RE.match(inner)
         if match:
             return TargetExpr("ind_sp", _parse_number(match.group(1)))
         raise AsmSyntaxError(f"bad indirect target {text!r}", line_no, line)
     if text.startswith("*"):
-        return TargetExpr("abs", _parse_number(text[1:]))
+        return TargetExpr("abs", _target_address(
+            text[1:], "absolute", text, line_no, line))
     if _NUMBER_RE.match(text):
         return TargetExpr("abs", _parse_number(text))
     if _IDENT_RE.match(text):
@@ -162,24 +174,27 @@ def parse_target(text: str, line_no: int, line: str) -> TargetExpr:
 def _split_operands(text: str) -> list[str]:
     """Split an operand field on commas not inside parentheses."""
     parts, depth, current = [], 0, []
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "," and depth == 0:
-            parts.append("".join(current))
+    for piece in text.split(","):
+        current.append(piece)
+        depth += piece.count("(") - piece.count(")")
+        if depth == 0:
+            parts.append(",".join(current))
             current = []
-        else:
-            current.append(ch)
     if current:
-        parts.append("".join(current))
+        parts.append(",".join(current))
     return [p for p in (part.strip() for part in parts) if p]
 
 
-def parse_line(line: str, line_no: int) -> Statement | None:
-    """Parse one source line; return None for blank/comment-only lines."""
-    code = re.split(r"[;#]", line, maxsplit=1)[0].rstrip()
+def parse_line(line: str, line_no: int,
+               operands: dict[str, OperandExpr] | None = None
+               ) -> Statement | None:
+    """Parse one source line; return None for blank/comment-only lines.
+
+    ``operands`` maps operand text to its parsed expression; give one
+    dict to every line of a source so that each distinct operand text is
+    parsed once (an expression is frozen, so statements can share it).
+    """
+    code = _COMMENT_RE.split(line, maxsplit=1)[0].rstrip()
     statement = Statement(line_no)
     text = code.lstrip()
     while True:
@@ -207,17 +222,22 @@ def parse_line(line: str, line_no: int) -> Statement | None:
             raise AsmSyntaxError("branch needs a target", line_no, line)
         statement.target = parse_target(rest, line_no, line)
     else:
-        statement.operands = [
-            parse_operand(part, line_no, line) for part in _split_operands(rest)
-        ]
+        if operands is None:
+            operands = {}
+        for part in _split_operands(rest):
+            expr = operands.get(part)
+            if expr is None:
+                expr = operands[part] = parse_operand(part, line_no, line)
+            statement.operands.append(expr)
     return statement
 
 
 def parse_source(source: str) -> list[Statement]:
     """Parse a whole assembly source file into statements."""
     statements = []
+    operands: dict[str, OperandExpr] = {}
     for line_no, line in enumerate(source.splitlines(), start=1):
-        statement = parse_line(line, line_no)
+        statement = parse_line(line, line_no, operands)
         if statement is not None:
             statements.append(statement)
     return statements

@@ -54,6 +54,8 @@ class Operand:
             raise ValueError(f"{self.mode.name} operand takes no value")
         if self.mode is AddrMode.SP_OFF and self.value < 0:
             raise ValueError("stack offsets must be non-negative")
+        if self.mode is AddrMode.SP_OFF and self.value > 0xFFFFFFFF:
+            raise ValueError("stack offset out of 32-bit range")
         if self.mode is AddrMode.ABS and not 0 <= self.value <= 0xFFFFFFFF:
             raise ValueError("absolute address out of 32-bit range")
         if self.mode is AddrMode.IMM and not -0x80000000 <= self.value <= 0xFFFFFFFF:

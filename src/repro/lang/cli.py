@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro.asm.assembler import AssemblyError
 from repro.cliargs import read_input
 from repro.lang.compiler import (
     CompileError,
@@ -50,7 +51,7 @@ def main(argv: list[str] | None = None) -> int:
                   f"({100 * stats.branch_fraction:.1f}%)")
         else:
             sys.stdout.write(compile_to_assembly(text, options))
-    except CompileError as exc:
+    except (CompileError, AssemblyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -86,10 +86,12 @@ def tokenize(source: str) -> list[Token]:
         start_line = line - text.count("\n")
         if match.lastgroup in ("ws", "line_comment", "block_comment"):
             continue
-        if match.lastgroup == "hex":
-            tokens.append(Token(TokenKind.INT, text, int(text, 16), start_line))
-        elif match.lastgroup == "int":
-            tokens.append(Token(TokenKind.INT, text, int(text), start_line))
+        if match.lastgroup in ("hex", "int"):
+            value = int(text, 16 if match.lastgroup == "hex" else 10)
+            if value > 0xFFFFFFFF:
+                raise CompileError(
+                    f"integer literal {text} out of 32-bit range", start_line)
+            tokens.append(Token(TokenKind.INT, text, value, start_line))
         elif match.lastgroup == "char":
             body = text[1:-1]
             if body.startswith("\\"):

@@ -19,6 +19,10 @@ _BINARY_PRECEDENCE = {
 _ASSIGN_OPS = {"=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=",
                "<<=", ">>="}
 
+_UNARY_OPS = {"-", "!", "~", "+", "++", "--"}
+
+_POSTFIX_OPS = {"[", "++", "--"}
+
 
 class Parser:
     """Parses a token stream into a :class:`~repro.lang.astnodes.TranslationUnit`."""
@@ -40,7 +44,8 @@ class Parser:
         return token
 
     def check(self, text: str) -> bool:
-        return self.current.text == text and self.current.kind in (
+        token = self.tokens[self.position]
+        return token.text == text and token.kind in (
             TokenKind.PUNCT, TokenKind.KEYWORD)
 
     def accept(self, text: str) -> bool:
@@ -299,15 +304,15 @@ class Parser:
 
     def _assignment(self) -> ast.Expr:
         left = self._conditional()
-        for op in _ASSIGN_OPS:
-            if self.check(op):
-                token = self.advance()
-                if not isinstance(left, (ast.VarRef, ast.ArrayIndex)):
-                    raise CompileError("assignment target must be a variable "
-                                       "or array element", token.line)
-                value = self._assignment()  # right-associative
-                return ast.Assign(left, value, op, line=token.line)
-        return left
+        token = self.current
+        if token.kind is not TokenKind.PUNCT or token.text not in _ASSIGN_OPS:
+            return left
+        self.advance()
+        if not isinstance(left, (ast.VarRef, ast.ArrayIndex)):
+            raise CompileError("assignment target must be a variable "
+                               "or array element", token.line)
+        value = self._assignment()  # right-associative
+        return ast.Assign(left, value, token.text, line=token.line)
 
     def _conditional(self) -> ast.Expr:
         condition = self._logical_or()
@@ -347,34 +352,30 @@ class Parser:
 
     def _unary(self) -> ast.Expr:
         token = self.current
-        if self.accept("-"):
-            return ast.Unary("-", self._unary(), line=token.line)
-        if self.accept("!"):
-            return ast.Unary("!", self._unary(), line=token.line)
-        if self.accept("~"):
-            return ast.Unary("~", self._unary(), line=token.line)
-        if self.accept("+"):
+        if token.kind is not TokenKind.PUNCT or token.text not in _UNARY_OPS:
+            return self._postfix()
+        self.advance()
+        op = token.text
+        if op == "+":
             return self._unary()
-        if self.accept("++"):
-            return ast.IncDec("++", self._unary(), True, line=token.line)
-        if self.accept("--"):
-            return ast.IncDec("--", self._unary(), True, line=token.line)
-        return self._postfix()
+        if op in ("++", "--"):
+            return ast.IncDec(op, self._unary(), True, line=token.line)
+        return ast.Unary(op, self._unary(), line=token.line)
 
     def _postfix(self) -> ast.Expr:
         expr = self._primary()
         while True:
             token = self.current
-            if self.accept("["):
+            if token.kind is not TokenKind.PUNCT \
+                    or token.text not in _POSTFIX_OPS:
+                return expr
+            self.advance()
+            if token.text == "[":
                 index = self._expression()
                 self.expect("]")
                 expr = ast.ArrayIndex(expr, index, line=token.line)
-            elif self.accept("++"):
-                expr = ast.IncDec("++", expr, False, line=token.line)
-            elif self.accept("--"):
-                expr = ast.IncDec("--", expr, False, line=token.line)
             else:
-                return expr
+                expr = ast.IncDec(token.text, expr, False, line=token.line)
 
     def _primary(self) -> ast.Expr:
         token = self.current

@@ -82,6 +82,39 @@ class TestDataSegment:
         program = assemble(".word neg, -1\nnop")
         assert program.data_image()[0x8000] == 0xFFFFFFFF
 
+    def test_reserve_keeps_the_final_dataorg(self):
+        program = assemble(".reserve buf, 2\n.dataorg 0xFFFFFFF8\nhalt")
+        assert program.symbols["buf"] == 0xFFFFFFF8
+        assert sorted(program.data_image()) == [0xFFFFFFF8, 0xFFFFFFFC]
+
+    @pytest.mark.parametrize("source, message", [
+        (".reserve buf, -3\nnop",
+         "line 1: .reserve buf: negative word count -3"),
+        (".dataorg 0xFFFFFFF8\n.reserve buf, 4\nnop",
+         "line 2: data symbol 'buf' at 0xfffffff8 (4 words) runs past "
+         "0xFFFFFFFF"),
+        (".reserve buf, 4\n.dataorg 0xFFFFFFF8\nnop",
+         "line 1: data symbol 'buf' at 0xfffffff8 (4 words) runs past "
+         "0xFFFFFFFF"),
+        (".dataorg 0xFFFFFFFC\n.word a, 1\n.word b, 2\nnop",
+         "line 3: data symbol 'b' at 0x100000000 (1 words) runs past "
+         "0xFFFFFFFF"),
+        (".dataorg 0xFFFFFFFC\n.word a, 1\n.reserve b, 0\nnop",
+         "line 3: data symbol 'b' at 0x100000000 (0 words) runs past "
+         "0xFFFFFFFF"),
+        (".reserve buf, 0x4000000000000000\nnop",
+         "line 1: data symbol 'buf' at 0x8000 (4611686018427387904 words) "
+         "runs past 0xFFFFFFFF"),
+    ], ids=["negative-count", "past-the-top", "dataorg-after-reserve",
+            "word-past-the-top", "empty-reserve-past-the-top",
+            "huge-count"])
+    def test_data_outside_the_address_space_rejected(self, source, message):
+        """Checked when data is laid out, before a reserved word is
+        built, so a huge count costs nothing."""
+        with pytest.raises(AssemblyError) as info:
+            assemble(source)
+        assert str(info.value) == message
+
     def test_duplicate_data_symbol_rejected(self):
         with pytest.raises(AssemblyError):
             assemble(".word a, 1\n.word a, 2\nnop")

@@ -387,3 +387,68 @@ class TestBadProgramsExit1:
         assert captured.err == ("error: control reached 0x1000, not an "
                                 "instruction boundary\n")
         assert captured.out == ""
+
+
+#: one-line sources that used to escape the assembler as a bare
+#: ValueError, or to assemble into something the ISA cannot encode
+MALFORMED_ASSEMBLY = {
+    "jmp *foo": "bad absolute target '*foo': 'jmp *foo'",
+    "jmp (*foo)": "bad indirect target '(*foo)': 'jmp (*foo)'",
+    ".equ N, abc": "bad directive argument",
+    ".reserve buf, x": "bad directive argument",
+    "add *0x1ffffffff, 1": "absolute address out of 32-bit range",
+    "mov 4(sp), 0x1ffffffff1": "immediate out of 32-bit range",
+    "enter 99999999999": "immediate out of 32-bit range",
+    "add 99999999999(sp), 1": "stack offset out of 32-bit range",
+    ".reserve buf, -3": ".reserve buf: negative word count -3",
+    ".reserve buf, 0x4000000000000000":
+        "data symbol 'buf' at 0x8000 (4611686018427387904 words) runs "
+        "past 0xFFFFFFFF",
+}
+
+
+class TestMalformedAssemblyExit1:
+    """Every tool that assembles reports a malformed line as one error
+    line naming it, and exits 1; nothing escapes as a traceback."""
+
+    @pytest.mark.parametrize("main, argv, stream, prefix", (
+        (asm_main, [], "err", "error: "),
+        (sim_main, [], "err", "error: "),
+        (_verify_main, ["replay"], "out", "{path}: ASSEMBLY ERROR: "),
+    ), ids=("crisp-asm", "crisp-sim", "crisp-verify-replay"))
+    @pytest.mark.parametrize("source", MALFORMED_ASSEMBLY)
+    def test_malformed_line(self, source, main, argv, stream, prefix,
+                            tmp_path, capsys):
+        path = tmp_path / "bad.s"
+        path.write_text(source + "\n")
+        assert main(argv + [str(path)]) == 1
+        captured = capsys.readouterr()
+        assert getattr(captured, stream).splitlines() == [
+            prefix.format(path=path) + "line 1: "
+            + MALFORMED_ASSEMBLY[source]]
+        assert "Traceback" not in captured.out + captured.err
+
+
+class TestCrispCcReportsEveryToolchainError:
+    @pytest.mark.parametrize("flags", ([], ["--run"], ["--cycles"]),
+                             ids=("emit", "run", "cycles"))
+    def test_out_of_range_literal(self, flags, tmp_path, capsys):
+        path = tmp_path / "big.c"
+        path.write_text("int main() { return 99999999999; }\n")
+        assert cc_main([str(path)] + flags) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("error: line 1: integer literal "
+                                "99999999999 out of 32-bit range\n")
+        assert captured.out == ""
+
+    def test_assembly_error(self, tmp_path, capsys):
+        """An array the data segment cannot hold is found by the
+        assembler, before any of its words is built."""
+        path = tmp_path / "huge.c"
+        path.write_text("int g[0x40000000];\n"
+                        "int main() { return 0; }\n")
+        assert cc_main([str(path), "--run"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("error: line 2: data symbol 'g' at 0x8000 "
+                                "(1073741824 words) runs past 0xFFFFFFFF\n")
+        assert captured.out == ""

@@ -36,6 +36,13 @@ class TestOperands:
         with pytest.raises(ValueError):
             imm(1 << 40)
 
+    def test_sp_offset_range_check(self):
+        """A stack offset the 32-bit extension cannot carry would decode
+        as a different offset than the instruction holds."""
+        assert sp_off(0xFFFFFFFF).value == 0xFFFFFFFF
+        with pytest.raises(ValueError, match="stack offset out of 32-bit"):
+            sp_off(0x100000000)
+
     def test_memory_classification(self):
         assert absolute(0x1000).is_memory
         assert sp_off(8).is_memory

@@ -16,8 +16,9 @@ class TestLexer:
                          TokenKind.KEYWORD, TokenKind.IDENT]
 
     def test_numbers(self):
-        tokens = tokenize("42 0x1F 0")
-        assert [t.value for t in tokens[:-1]] == [42, 31, 0]
+        tokens = tokenize("42 0x1F 0 4294967295 0xFFFFFFFF")
+        assert [t.value for t in tokens[:-1]] == [42, 31, 0, 0xFFFFFFFF,
+                                                  0xFFFFFFFF]
 
     def test_char_literals(self):
         tokens = tokenize("'a' '\\n' '\\0'")
@@ -39,6 +40,19 @@ class TestLexer:
     def test_bad_character(self):
         with pytest.raises(CompileError):
             tokenize("int a = `5`;")
+
+    @pytest.mark.parametrize("literal", ["4294967296", "0x100000000",
+                                         "99999999999"])
+    def test_literal_above_32_bits_rejected(self, literal):
+        with pytest.raises(CompileError) as info:
+            tokenize(f"int a;\n\na = {literal};")
+        assert str(info.value) == \
+            f"line 3: integer literal {literal} out of 32-bit range"
+        assert info.value.line == 3
+
+    def test_array_size_above_32_bits_rejected(self):
+        with pytest.raises(CompileError, match="line 1: integer literal"):
+            parse("int g[99999999999];\nint main() { return 0; }")
 
 
 class TestParser:
