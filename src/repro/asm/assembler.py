@@ -189,11 +189,11 @@ class _Assembler:
             raise AssemblyError(
                 f"line {statement.line_no}: labels cannot precede .{name}")
         if name == "org":
-            self.code_base = self._number(args, 0, statement)
+            self.code_base = self._address(args, statement)
         elif name == "dataorg":
-            self.data_base = self._number(args, 0, statement)
+            self.data_base = self._address(args, statement)
         elif name == "stack":
-            self.stack_top = self._number(args, 0, statement)
+            self.stack_top = self._address(args, statement)
         elif name == "entry":
             if len(args) != 1:
                 raise AssemblyError(
@@ -239,6 +239,16 @@ class _Assembler:
         except (IndexError, ValueError) as exc:
             raise AssemblyError(
                 f"line {statement.line_no}: bad directive argument") from exc
+
+    @classmethod
+    def _address(cls, args: tuple, statement: Statement) -> int:
+        """An origin directive's address: 0..0xFFFFFFFF."""
+        value = cls._number(args, 0, statement)
+        if not 0 <= value <= 0xFFFFFFFF:
+            raise AssemblyError(
+                f"line {statement.line_no}: .{statement.directive} "
+                f"{args[0]} out of 32-bit range")
+        return value
 
     def _add_data(self, name: str, block: _DataBlock) -> None:
         if name in self.data_blocks:
@@ -297,8 +307,21 @@ class _Assembler:
                 # final promotion check: a branch may have gone out of range
                 # on the very last settle; verify all short branches fit
                 if not self._promote_out_of_range(addresses):
+                    self._check_code_end(addresses, cursor)
                     return addresses
         raise AssemblyError("code layout failed to converge")
+
+    def _check_code_end(self, addresses: list[int], end: int) -> None:
+        """Code, like data, must lie in the 32-bit address space: name
+        the first instruction that runs past 0xFFFFFFFF."""
+        if end <= 0x100000000:
+            return
+        for i, address in enumerate(addresses):
+            following = addresses[i + 1] if i + 1 < len(addresses) else end
+            if following > 0x100000000:
+                raise AssemblyError(
+                    f"line {self.protos[i].statement.line_no}: code at "
+                    f"{address:#x} runs past 0xFFFFFFFF")
 
     def _bind_labels(self, addresses: list[int]) -> None:
         self.code_labels = {}

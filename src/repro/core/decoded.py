@@ -85,6 +85,10 @@ class DecodedEntry:
             cache(self, "_branch_sense", branch._branch_sense)
         cache(self, "_predicted_taken",
               branch._predicted_taken if uses_cc else None)
+        # a conditional branch transfers when the flag equals this bit
+        # (the execution unit's form of taken_when)
+        cache(self, "_taken_on",
+              self._branch_sense is BranchKind.IF_TRUE if uses_cc else None)
         # opcode-name strings and one-parcel bits for the execution unit's
         # batched ExecutionStats counters (Enum.value is a descriptor call)
         cache(self, "_body_name",

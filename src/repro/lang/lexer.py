@@ -70,41 +70,56 @@ class Token:
         return f"Token({self.kind.name}, {self.text!r})"
 
 
+_GROUP = _TOKEN_RE.groupindex
+_WS, _LINE_COMMENT, _BLOCK_COMMENT = (
+    _GROUP["ws"], _GROUP["line_comment"], _GROUP["block_comment"])
+_HEX, _INT, _CHAR, _IDENT = (
+    _GROUP["hex"], _GROUP["int"], _GROUP["char"], _GROUP["ident"])
+
+
 def tokenize(source: str) -> list[Token]:
     """Tokenize ``source``; raise :class:`CompileError` on bad input."""
     tokens: list[Token] = []
+    append = tokens.append
+    match_at = _TOKEN_RE.match
+    end = len(source)
     position = 0
     line = 1
-    while position < len(source):
-        match = _TOKEN_RE.match(source, position)
+    while position < end:
+        match = match_at(source, position)
         if match is None:
             raise CompileError(
                 f"unexpected character {source[position]!r}", line)
-        text = match.group(0)
-        line += text.count("\n")
+        text = match.group()
         position = match.end()
-        start_line = line - text.count("\n")
-        if match.lastgroup in ("ws", "line_comment", "block_comment"):
-            continue
-        if match.lastgroup in ("hex", "int"):
-            value = int(text, 16 if match.lastgroup == "hex" else 10)
+        # lastindex is the outermost group that matched: one per token
+        # kind. Only whitespace, block comments and character literals
+        # can hold a newline.
+        group = match.lastindex
+        if group == _WS or group == _BLOCK_COMMENT:
+            line += text.count("\n")
+        elif group == _LINE_COMMENT:
+            pass
+        elif group == _IDENT:
+            kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
+            append(Token(kind, text, 0, line))
+        elif group == _HEX or group == _INT:
+            value = int(text, 16 if group == _HEX else 10)
             if value > 0xFFFFFFFF:
                 raise CompileError(
-                    f"integer literal {text} out of 32-bit range", start_line)
-            tokens.append(Token(TokenKind.INT, text, value, start_line))
-        elif match.lastgroup == "char":
+                    f"integer literal {text} out of 32-bit range", line)
+            append(Token(TokenKind.INT, text, value, line))
+        elif group == _CHAR:
             body = text[1:-1]
             if body.startswith("\\"):
                 if body[1] not in _ESCAPES:
-                    raise CompileError(f"unknown escape {body!r}", start_line)
+                    raise CompileError(f"unknown escape {body!r}", line)
                 value = _ESCAPES[body[1]]
             else:
                 value = ord(body)
-            tokens.append(Token(TokenKind.INT, text, value, start_line))
-        elif match.lastgroup == "ident":
-            kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
-            tokens.append(Token(kind, text, 0, start_line))
+            append(Token(TokenKind.INT, text, value, line))
+            line += text.count("\n")
         else:
-            tokens.append(Token(TokenKind.PUNCT, text, 0, start_line))
-    tokens.append(Token(TokenKind.EOF, "", 0, line))
+            append(Token(TokenKind.PUNCT, text, 0, line))
+    append(Token(TokenKind.EOF, "", 0, line))
     return tokens

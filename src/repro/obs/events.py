@@ -273,10 +273,12 @@ class EventBus:
     def sinks_ref(self) -> list[Any]:
         """The live sink list (a shared reference, not a copy).
 
-        Components cache this once and test its truthiness per event, so
-        a sink-less bus pays for counter bumps but never for per-event
-        field formatting — and a sink attached or detached mid-run is
-        still seen immediately.
+        Components cache this once and test its truthiness, so a
+        sink-less bus never pays for per-event field formatting. The
+        PDU and decoded cache test it per event; the cycle loops test it
+        once per ``run()``/``step()`` call and, without a sink, publish
+        their counts when they return, so a sink is attached or detached
+        between calls.
         """
         return self._sinks
 

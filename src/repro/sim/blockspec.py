@@ -814,7 +814,10 @@ class BlockSpecEngine:
 
         Invalid slots are conflated with empty latches (architecturally
         both are bubbles); unresolved slots (live CC interlocks) and
-        shadow records (dynamic folds) make the state untraceable.
+        shadow records (dynamic folds) make the state untraceable. A
+        slot's ``chosen_taken`` counts only where the EU's path selection
+        wrote it (a conditional entry with a static target): a recycled
+        latch keeps a stale value everywhere else.
         """
         sig = []
         for slot in (self.eu.rr, self.eu.or_, self.eu.ir):
@@ -823,7 +826,11 @@ class BlockSpecEngine:
                 continue
             if not slot.resolved or slot.shadow is not None:
                 return None
-            sig.append((slot.entry.address, slot.chosen_taken))
+            entry = slot.entry
+            sig.append((entry.address,
+                        slot.chosen_taken
+                        if entry.uses_cc and not entry.dynamic_target
+                        else None))
         return tuple(sig)
 
     def try_trace(self, remaining: int) -> int:
@@ -847,7 +854,7 @@ class BlockSpecEngine:
         if pdu.decode_pc is not None \
                 and pdu.entries_ahead < pdu.prefetch_depth:
             return 0
-        if eu._obs_sinks:
+        if cpu._obs_sinks:
             return 0  # per-event site attribution needs per-cycle probes
         heat = self.heat
         count = heat.get(addr, 0)
@@ -966,20 +973,14 @@ class BlockSpecEngine:
         get = d.get
         stats.issued_instructions += get("issued", 0)
         stats.executed_instructions += get("exec", 0)
-        folded = get("folded", 0)
-        stats.folded_branches += folded
-        mispredicts = get("mis", 0)
-        penalty = get("pen", 0)
-        stats.mispredictions += mispredicts
-        stats.misprediction_penalty_cycles += penalty
-        overrides = get("zco", 0)
-        stats.zero_cost_overrides += overrides
+        stats.folded_branches += get("folded", 0)
+        stats.mispredictions += get("mis", 0)
+        stats.misprediction_penalty_cycles += get("pen", 0)
+        stats.zero_cost_overrides += get("zco", 0)
         stats.stall_cycles += get("stall", 0)
-        squashes = get("squash", 0)
-        stats.squashed_slots += squashes
+        stats.squashed_slots += get("squash", 0)
         eu._x_instructions += get("xi", 0)
-        branches = get("xb", 0)
-        eu._x_branches += branches
+        eu._x_branches += get("xb", 0)
         eu._x_conditional += get("xc", 0)
         eu._x_taken += get("xt", 0)
         eu._x_one_parcel += get("x1", 0)
@@ -987,23 +988,10 @@ class BlockSpecEngine:
         for name, value in opc.items():
             counts[name] = counts.get(name, 0) + value
         if eu._obs_on:
-            # sink-less probes are plain counters: batch the bumps
+            # no sink listens (try_trace checked): the EU's counter probes
+            # follow the stats above when the run loop publishes them
             cpu._p_demand_hit.add(n)
-            if branches:
-                eu._p_branch.add(branches)
-            if folded:
-                eu._p_folded.add(folded)
-            if mispredicts:
-                eu._p_mispredict.add(mispredicts)
-            if penalty:
-                eu._p_penalty.add(penalty)
-            if squashes:
-                eu._p_squash.add(squashes)
-            if overrides:
-                eu._p_override.add(overrides)
-            interlocks = get("lock", 0)
-            if interlocks:
-                eu._p_interlock.add(interlocks)
+            eu._n_interlock += get("lock", 0)
         eu._seq += n  # every trace cycle fetches exactly one entry
         seq_after = eu._seq
         if leaf.retire is not None:

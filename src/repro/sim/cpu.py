@@ -30,7 +30,11 @@ from repro.sim.icache import DecodedICache
 from repro.sim.memory import Memory
 from repro.sim.pdu import PrefetchDecodeUnit
 from repro.sim.progcache import default_cache, predecode_cached
-from repro.sim.semantics import MachineState, SimulationHungError
+from repro.sim.semantics import (
+    MachineState,
+    SimulationError,
+    SimulationHungError,
+)
 from repro.sim.stats import PipelineStats
 
 #: how many post-budget fetch addresses the watchdog samples for the
@@ -130,6 +134,8 @@ class CrispCpu:
         self._p_miss_latency = self.obs.histogram("icache.miss.latency")
         self._miss_address: int | None = None  #: demand miss being timed
         self._miss_cycle = 0
+        #: demanded addresses found to be instruction boundaries
+        self._boundaries: set[int] = set()
         self._blockspec = None  #: lazily-built BlockSpecEngine
         # cold start: the PDU begins decoding at the entry point
         self.pdu.demand(program.entry)
@@ -153,11 +159,21 @@ class CrispCpu:
         interrupt. The PDU tick is skipped while the PDU is idle —
         nothing in flight, no fetch outstanding, and no decode possible
         before the prefetch limit — because such a tick changes nothing
-        but its own per-tick ``_starved`` flag. On a bus without sinks
-        the demand-hit counts (``icache.hits``, ``stats.icache_hits``,
-        the ``icache.demand_hit`` probe) are kept in a local and added
-        on every exit; with a sink attached each hit is published as it
-        happens.
+        but its own per-tick ``_starved`` flag.
+
+        On a bus without sinks no counter probe is touched per event:
+        the demand hits are kept in a local, and every other counter is
+        published from the counts the machine keeps anyway when the loop
+        returns, by any exit (:meth:`_publish_probes`). With a sink
+        attached every event is published as it happens, with its
+        fields.
+
+        A demand miss at an address that is not an instruction boundary
+        of the program, once the EU's latches hold nothing valid, means
+        control has left the program: it raises the functional
+        simulator's :class:`~repro.sim.semantics.SimulationError` instead
+        of stalling until the watchdog. A wrong-path fetch still stalls,
+        since the branch that chose the path is still in flight.
         """
         pdu = self.pdu
         eu = self.eu
@@ -172,8 +188,13 @@ class CrispCpu:
         # sink to a bus that has none
         obs_on = self._obs_on
         detail = obs_on and bool(self._obs_sinks)
+        if detail:
+            self._publish_probes()  # what ran since the last loop
+            eu._per_event = True
         p_demand_hit = self._p_demand_hit
+        boundaries = self._boundaries
         hits = 0
+        misses = stats.icache_misses
         try:
             for _ in range(budget):
                 if (pdu.inflight or pdu.fetch_countdown
@@ -202,14 +223,19 @@ class CrispCpu:
                         fetched = None
                         icache.misses += 1
                         stats.icache_misses += 1
-                        if obs_on:
-                            if detail:
-                                self._p_demand_miss.inc(site=address)
-                            else:
-                                self._p_demand_miss.add()
+                        if detail:
+                            self._p_demand_miss.inc(site=address)
                         if address != self._miss_address:
                             self._miss_address = address
                             self._miss_cycle = stats.cycles
+                        if address not in boundaries:
+                            slot = eu.rr
+                            if slot is None or not slot.valid:
+                                slot = eu.or_
+                                if slot is None or not slot.valid:
+                                    slot = eu.ir
+                                    if slot is None or not slot.valid:
+                                        self._check_boundary(address)
                         pdu.demand(address)
 
                 eu_tick(fetched)
@@ -229,6 +255,28 @@ class CrispCpu:
                 stats.icache_hits += hits
                 if obs_on:
                     p_demand_hit.add(hits)
+            if obs_on:
+                if detail:
+                    eu._per_event = False
+                elif stats.icache_misses != misses:
+                    self._p_demand_miss.add(stats.icache_misses - misses)
+                self._publish_probes(published=detail)
+
+    def _publish_probes(self, published: bool = False) -> None:
+        """Add to each counter probe what its unit counted since the last
+        call; ``published`` says the EU's events went out one by one."""
+        self.eu.publish_probes(published)
+        self.pdu.publish_probes()
+        self.icache.publish_probes()
+
+    def _check_boundary(self, address: int) -> None:
+        """The EU demands ``address`` with its pipeline drained, so the
+        demand is on the architectural path: it must be an instruction
+        boundary of the program."""
+        if self.program.index_of(address) is None:
+            raise SimulationError(
+                f"control reached {address:#x}, not an instruction boundary")
+        self._boundaries.add(address)
 
     def interrupt(self, vector: int) -> None:
         """Raise an interrupt: taken precisely at the next clock edge.
@@ -264,7 +312,9 @@ class CrispCpu:
         compiled-trace bursts whenever the machine reaches a traced
         steady state. The cycle budget is shared exactly — a trace burst
         consumes its cycle count from the same ``limit``, and traces are
-        bounded so the watchdog semantics match the per-cycle loop."""
+        bounded so the watchdog semantics match the per-cycle loop. A
+        trace burst moves the stats, not the probes; each step, and this
+        loop's exit, publishes them."""
         from repro.sim.blockspec import BlockSpecEngine
         if self._blockspec is None:
             self._blockspec = BlockSpecEngine(self)
@@ -272,16 +322,20 @@ class CrispCpu:
         eu = self.eu
         step = self.step
         steps = 0
-        while steps < limit:
-            if eu.halted:
-                eu.flush_execution()
-                return self.stats
-            consumed = try_trace(limit - steps)
-            if consumed:
-                steps += consumed
-                continue
-            step()
-            steps += 1
+        try:
+            while steps < limit:
+                if eu.halted:
+                    eu.flush_execution()
+                    return self.stats
+                consumed = try_trace(limit - steps)
+                if consumed:
+                    steps += consumed
+                    continue
+                step()
+                steps += 1
+        finally:
+            if self._obs_on:
+                self._publish_probes()
         eu.flush_execution()
         if eu.halted:  # halted on the last budgeted cycle
             return self.stats

@@ -31,9 +31,13 @@ plain attributes precomputed at decode time, an instruction body runs
 through its shape's executor (:func:`~repro.sim.semantics.bind_executor`:
 one generated function per opcode and operand addressing modes, shared
 by every entry of that shape and bound to an entry the first time it
-executes), probe updates are skipped entirely on a disabled bus, and the
-per-instruction architectural counters are batched locally and flushed
-into :class:`~repro.sim.stats.ExecutionStats` when the run ends.
+executes), and the per-instruction architectural counters are batched
+locally and flushed into :class:`~repro.sim.stats.ExecutionStats` when
+the run ends. Each per-event counter probe equals a
+:class:`~repro.sim.stats.PipelineStats` field (``cc.interlock`` a plain
+count), so without a sink listening the EU publishes nothing per event:
+:meth:`ExecutionUnit.publish_probes` adds what the stats gained since
+its last call when the cycle loop returns.
 :meth:`ExecutionUnit.tick` is the one per-cycle entry point; it executes
 the RR stage and selects the path of every entry but a conditional one
 inline. ``tests/test_sim_fastpath.py`` and ``tests/test_sim_shapes.py``
@@ -43,6 +47,7 @@ in :mod:`repro.sim.reference`, which keeps its own operand if-chain.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 
 from repro.core.decoded import DecodedEntry
@@ -64,6 +69,8 @@ class StageSlot:
     entry: DecodedEntry
     seq: int  #: issue order, used to match branches to their compare
     valid: bool = True
+    # the next three are written, and read, only for a conditional entry
+    # with a static target; a recycled latch keeps stale values in them
     chosen_taken: bool | None = None  #: selected branch direction at fetch
     other_pc: int | None = None  #: the not-chosen path (Alternate-PC)
     governing_seq: int | None = None  #: seq of the compare this branch awaits
@@ -88,14 +95,11 @@ class ExecutionUnit:
         #: fault injection: "always-wrong" forces a full flush/recovery
         #: on every dynamic fold, even verified-correct ones
         self._inject_wrong = inject == "always-wrong"
-        #: probes fire only on an enabled bus; a disabled bus's probes are
-        #: shared no-ops, so skipping the calls (and their keyword-dict
-        #: construction) is behaviourally identical and free. On an
-        #: *enabled* bus the second tier (`_obs_sinks`, the bus's live
-        #: sink list) gates per-event field formatting: with no sink
-        #: listening a probe update is a plain counter bump.
+        #: publish each event as it happens, with its fields: set by the
+        #: cycle loop for a run with a sink attached. Otherwise the stats
+        #: count every event and :meth:`publish_probes` publishes them.
+        self._per_event = False
         self._obs_on = obs.enabled
-        self._obs_sinks = obs.sinks_ref()
         self._p_branch = obs.counter("branch.executed")
         self._p_folded = obs.counter("fold.succeeded")
         self._p_mispredict = obs.counter("mispredict.count")
@@ -107,6 +111,8 @@ class ExecutionUnit:
         self._p_dynfold = obs.counter("fold.dynamic")
         self._p_verify_fail = obs.counter("fold.verify_fail")
         self._p_recovery = obs.counter("recovery.flush_cycles")
+        #: CC interlocks not yet added to ``cc.interlock``
+        self._n_interlock = 0
         #: the memory's byte map, which the shape executors access inline
         self._data = state.memory._bytes
         self.ir: StageSlot | None = None
@@ -130,7 +136,14 @@ class ExecutionUnit:
         self._x_conditional = 0
         self._x_taken = 0
         self._x_one_parcel = 0
-        self._x_opcode_counts: dict[str, int] = {}
+        self._x_opcode_counts: defaultdict[str, int] = defaultdict(int)
+        #: the probes publish_probes derives from the stats, and the stats
+        #: values they last reached
+        self._derived = (self._p_folded, self._p_mispredict, self._p_penalty,
+                         self._p_squash, self._p_override, self._p_dynfold,
+                         self._p_verify_fail, self._p_recovery,
+                         self._p_branch)
+        self._published = self._derived_values()
 
     # ---- helpers -----------------------------------------------------------
 
@@ -145,7 +158,7 @@ class ExecutionUnit:
                         fetched: StageSlot | None) -> None:
         """Clear the valid bits of every stage younger than ``slot``."""
         seen = False
-        obs_on = self._obs_on  # one guard read, not one per stage
+        per_event = self._per_event  # one guard read, not one per stage
         for candidate in (self.rr, self.or_, self.ir, fetched):
             if candidate is slot:
                 seen = True
@@ -153,8 +166,39 @@ class ExecutionUnit:
             if seen and candidate is not None and candidate.valid:
                 candidate.valid = False
                 self.stats.squashed_slots += 1
-                if obs_on:
+                if per_event:
                     self._p_squash.add()
+
+    def _derived_values(self) -> tuple[int, ...]:
+        """The stats each probe in ``_derived`` equals, in its order."""
+        stats = self.stats
+        return (stats.folded_branches, stats.mispredictions,
+                stats.misprediction_penalty_cycles, stats.squashed_slots,
+                stats.zero_cost_overrides, stats.dynamic_folds,
+                stats.folded_mispredicts, stats.recovery_flush_cycles,
+                # the batch keeps this sum rising across flush_execution
+                stats.execution.branches + self._x_branches)
+
+    def publish_probes(self, published: bool = False) -> None:
+        """Bring every per-event counter probe up to its stats value.
+
+        ``published`` says the events since the last call were already
+        published one by one (a run with ``_per_event`` set), so only the
+        reference point moves. Called by the cycle loop when it returns;
+        the probes are exact after ``run()`` and ``step()``, not inside a
+        tick.
+        """
+        values = self._derived_values()
+        old = self._published
+        if values != old:
+            if not published:
+                for probe, now, then in zip(self._derived, values, old):
+                    if now != then:
+                        probe.add(now - then)
+            self._published = values
+        if self._n_interlock:
+            self._p_interlock.add(self._n_interlock)
+            self._n_interlock = 0
 
     def flush_execution(self) -> None:
         """Fold the batched architectural counters into ``stats.execution``.
@@ -178,7 +222,7 @@ class ExecutionUnit:
         self._x_conditional = 0
         self._x_taken = 0
         self._x_one_parcel = 0
-        self._x_opcode_counts = {}
+        self._x_opcode_counts = defaultdict(int)
 
     # ---- the clock ----------------------------------------------------------
 
@@ -197,9 +241,6 @@ class ExecutionUnit:
                 fetched.entry = fetched_entry
                 fetched.seq = seq
                 fetched.valid = True
-                fetched.chosen_taken = None
-                fetched.other_pc = None
-                fetched.governing_seq = None
                 fetched.resolved = True
                 fetched.speculated = False
                 fetched.shadow = None
@@ -215,7 +256,6 @@ class ExecutionUnit:
             entry = retiring.entry
             stats = self.stats
             stats.issued_instructions += 1
-            self.retire_next_pc = entry.sequential
             body = entry.body
             halted = False
             if body is not None:
@@ -225,17 +265,16 @@ class ExecutionUnit:
                 halted = run(self.state, self._data, body.operands)
                 stats.executed_instructions += 1
                 self._x_instructions += 1
-                counts = self._x_opcode_counts
-                name = entry._body_name
-                counts[name] = counts.get(name, 0) + 1
+                self._x_opcode_counts[entry._body_name] += 1
                 if halted:
                     self.halted = True
                     self.flush_execution()
-            if not halted:
-                if entry.sets_cc:
+                elif entry.sets_cc:
                     self._resolve_dependents(retiring, fetched)
-                if entry.branch is not None:
-                    self._execute_branch_part(retiring, fetched)
+            if halted or entry.branch is None:
+                self.retire_next_pc = entry.sequential
+            else:
+                self._execute_branch_part(retiring, fetched)
 
         # end-of-cycle latch update; the retiring RR slot returns to the
         # pool (nothing references it once it leaves the stage register)
@@ -244,8 +283,9 @@ class ExecutionUnit:
             self._slot_pool.append(retiring)
 
         # ---- fetch-time path selection for the entry just latched into
-        # IR, unless a resolution already redirected IR.Next-PC
-        if fetched is not None and fetched.valid and not self._redirected:
+        # IR, unless a resolution already redirected IR.Next-PC (every
+        # squash of the fetched entry comes with a redirect)
+        if fetched is not None and not self._redirected:
             entry = fetched.entry
             if entry.dynamic_target:
                 self.ir_next_pc = None  # stall fetch until RR computes it
@@ -258,105 +298,84 @@ class ExecutionUnit:
 
     def _execute_branch_part(self, slot: StageSlot,
                              fetched: StageSlot | None) -> None:
+        """The RR stage of an entry's branch, then its retirement into
+        the batched ExecutionStats counters."""
         entry = slot.entry
-        branch = entry.branch
-        assert branch is not None
         state = self.state
         stats = self.stats
-        sequential = entry.sequential
-
+        per_event = self._per_event
         if entry.is_folded:
             stats.folded_branches += 1
-            if self._obs_on:
-                if self._obs_sinks:
-                    self._p_folded.inc(site=entry._branch_pc)
-                else:
-                    self._p_folded.add()
+            if per_event:
+                self._p_folded.inc(site=entry._branch_pc)
         stats.executed_instructions += 1
 
-        cls = branch.op_class
-        if cls is OpClass.RETURN:
+        if entry.dynamic_target:  # a return, an indirect branch, or any
+            # branch when the next-address-field ablation is active
+            branch = entry.branch
             memory = state.memory
-            if branch.opcode is Opcode.RETI:
-                state.flag = bool(memory.read_word(state.sp) & 1)
+            cls = branch.op_class
+            if cls is OpClass.RETURN:
+                if branch.opcode is Opcode.RETI:
+                    state.flag = bool(memory.read_word(state.sp) & 1)
+                    state.sp = to_u32(state.sp + 4)
+                target = memory.read_word(state.sp)
                 state.sp = to_u32(state.sp + 4)
-            target = memory.read_word(state.sp)
-            state.sp = to_u32(state.sp + 4)
-            self._redirect(target)
-            self.retire_next_pc = target
-            self._record_branch(slot, taken=True)
-            return
-
-        if entry.dynamic_target:  # indirect, or any branch when the
-            # next-address-field ablation is active
-            taken = (entry.taken_when(state.flag)
-                     if entry.uses_cc else True)
-            if taken:
-                target = resolve_target(branch, entry._branch_pc, state.sp,
-                                        state.memory.read_word)
+                taken = True
             else:
-                target = sequential
-            if cls is OpClass.CALL:
-                state.sp = to_u32(state.sp - 4)
-                state.memory.write_word(state.sp, sequential)
+                taken = (state.flag == entry._taken_on
+                         if entry.uses_cc else True)
+                sequential = entry.sequential
+                if taken:
+                    target = resolve_target(branch, entry._branch_pc,
+                                            state.sp, memory.read_word)
+                else:
+                    target = sequential
+                if cls is OpClass.CALL:
+                    state.sp = to_u32(state.sp - 4)
+                    memory.write_word(state.sp, sequential)
             self._redirect(target)
             self.retire_next_pc = target
-            self._record_branch(slot, taken=taken)
-            return
-
-        if cls is OpClass.CALL:
-            state.sp = to_u32(state.sp - 4)
-            state.memory.write_word(state.sp, sequential)
-            assert entry.next_pc is not None
+        elif not entry.uses_cc:
+            # static target: the Next-PC field already routed control
+            if entry.branch.op_class is OpClass.CALL:
+                state.sp = to_u32(state.sp - 4)
+                state.memory.write_word(state.sp, entry.sequential)
             self.retire_next_pc = entry.next_pc
-            self._record_branch(slot, taken=True)
-            return  # static target: Next-PC field already routed control
-
-        if not entry.uses_cc:
-            assert entry.next_pc is not None
-            self.retire_next_pc = entry.next_pc
-            self._record_branch(slot, taken=True)
-            return
-
-        # conditional branch reaching RR still unresolved: an unfolded
-        # branch checks the (now architectural) flag against its chosen
-        # path here, costing the full 3 cycles when wrong
-        if not slot.resolved:
-            correct = entry.taken_when(state.flag)
-            slot.resolved = True
-            if slot.chosen_taken != correct:
-                stats.mispredictions += 1
-                stats.misprediction_penalty_cycles += 3
-                if self._obs_on:
-                    if self._obs_sinks:
+            taken = True
+        else:
+            # conditional branch reaching RR still unresolved: an unfolded
+            # branch checks the (now architectural) flag against its
+            # chosen path here, costing the full 3 cycles when wrong
+            if not slot.resolved:
+                correct = state.flag == entry._taken_on
+                slot.resolved = True
+                if slot.chosen_taken != correct:
+                    stats.mispredictions += 1
+                    stats.misprediction_penalty_cycles += 3
+                    if per_event:
                         self._p_mispredict.inc(stage="RR", folded=False,
                                                site=entry._branch_pc)
                         self._p_penalty.inc(3, site=entry._branch_pc)
-                    else:
-                        self._p_mispredict.add()
-                        self._p_penalty.add(3)
-                slot.chosen_taken = correct
-                self._squash_younger(slot, fetched)
-                assert slot.other_pc is not None
-                self._redirect(slot.other_pc)
-        taken_pc = (entry.next_pc if entry._predicted_taken else entry.alt_pc)
-        assert taken_pc is not None
-        self.retire_next_pc = taken_pc if slot.chosen_taken else sequential
-        self._record_branch(slot, taken=bool(slot.chosen_taken))
-
-    def _record_branch(self, slot: StageSlot, *, taken: bool) -> None:
-        entry = slot.entry
-        if self._obs_on:
-            if self._obs_sinks:
-                self._p_branch.inc(site=entry._branch_pc, taken=taken,
-                                   folded=entry.is_folded,
-                                   speculated=slot.speculated)
+                    slot.chosen_taken = correct
+                    self._squash_younger(slot, fetched)
+                    assert slot.other_pc is not None
+                    self._redirect(slot.other_pc)
+            taken = slot.chosen_taken
+            if not taken:
+                self.retire_next_pc = entry.sequential
+            elif entry._predicted_taken:
+                self.retire_next_pc = entry.next_pc
             else:
-                self._p_branch.add()
+                self.retire_next_pc = entry.alt_pc
+
+        # retirement
+        if per_event:
+            self._p_branch.inc(site=entry._branch_pc, taken=taken,
+                               folded=entry.is_folded,
+                               speculated=slot.speculated)
         self._x_instructions += 1
-        counts = self._x_opcode_counts
-        name = entry._branch_name
-        counts[name] = counts.get(name, 0) + 1
+        self._x_opcode_counts[entry._branch_name] += 1
         self._x_branches += 1
         if entry._branch_one_parcel:
             self._x_one_parcel += 1
@@ -378,17 +397,13 @@ class ExecutionUnit:
         that was waiting on it (including one folded into the compare)."""
         flag = self.state.flag
         stats = self.stats
-        # probe-guard state cannot change mid-resolution: read it once
-        # here instead of once per dependent stage
-        obs_on = self._obs_on
-        obs_sinks = self._obs_sinks
         for slot in (self.rr, self.or_, self.ir, fetched):
             if slot is None or not slot.valid or slot.resolved:
                 continue
             if slot.governing_seq != cmp_slot.seq:
                 continue
             entry = slot.entry
-            correct = entry.taken_when(flag)
+            correct = flag == entry._taken_on
             slot.resolved = True
             shadow = slot.shadow
             forced = False
@@ -419,21 +434,13 @@ class ExecutionUnit:
                 stats.recovery_flush_cycles += penalty
                 self._dyn.untrain(shadow.site)
                 self._dyn.note_flush(shadow.site)
-            if obs_on:
-                if obs_sinks:
-                    site = entry._branch_pc
-                    self._p_mispredict.inc(stage=stage, folded=True,
-                                           site=site)
-                    self._p_penalty.inc(penalty, site=site)
-                    if shadow is not None:
-                        self._p_verify_fail.inc(site=site, forced=forced)
-                        self._p_recovery.inc(penalty, site=site)
-                else:
-                    self._p_mispredict.add()
-                    self._p_penalty.add(penalty)
-                    if shadow is not None:
-                        self._p_verify_fail.add()
-                        self._p_recovery.add(penalty)
+            if self._per_event:
+                site = entry._branch_pc
+                self._p_mispredict.inc(stage=stage, folded=True, site=site)
+                self._p_penalty.inc(penalty, site=site)
+                if shadow is not None:
+                    self._p_verify_fail.inc(site=site, forced=forced)
+                    self._p_recovery.inc(penalty, site=site)
             slot.chosen_taken = correct
             self._squash_younger(slot, fetched)
             if forced:
@@ -463,7 +470,7 @@ class ExecutionUnit:
             if slot is not None and slot.valid:
                 slot.valid = False
                 self.stats.squashed_slots += 1
-                if self._obs_on:
+                if self._per_event:
                     self._p_squash.add()
         state.sp = to_u32(state.sp - 4)
         state.memory.write_word(state.sp, self.retire_next_pc)
@@ -478,92 +485,80 @@ class ExecutionUnit:
     def _select_path(self, slot: StageSlot) -> None:
         """The conditional entry just latched into IR, with a static
         target and no redirect this cycle: choose its outgoing path and
-        set ``IR.Next-PC``. :meth:`tick` handles every other entry."""
+        set ``IR.Next-PC``. :meth:`tick` handles every other entry.
+
+        Writes ``chosen_taken``, ``other_pc`` and ``governing_seq``, which
+        a recycled latch does not reset."""
         entry = slot.entry
 
-        # is a condition-code write still outstanding?
-        outstanding = entry.folds_compare_and_branch
-        if not outstanding:
-            older = self.or_
-            if older is not None and older.valid and older.entry.sets_cc:
-                outstanding = True
-            else:
-                older = self.rr
-                outstanding = (older is not None and older.valid
-                               and older.entry.sets_cc)
+        # the condition-code write still in the pipeline, if any: the
+        # entry's own folded compare, else the younger of OR and RR
+        if entry.folds_compare_and_branch:
+            governing = slot
+        else:
+            governing = self.or_
+            if (governing is None or not governing.valid
+                    or not governing.entry.sets_cc):
+                governing = self.rr
+                if (governing is None or not governing.valid
+                        or not governing.entry.sets_cc):
+                    governing = None
 
-        predicted = entry._predicted_taken
-        taken_pc = entry.next_pc if predicted else entry.alt_pc
-        fall_pc = entry.alt_pc if predicted else entry.next_pc
-
-        if not outstanding:
+        if governing is None:
             # the compare left the pipeline: the flag is architectural and
             # the branch needs no prediction — zero cycles lost even when
             # the static bit is wrong (what Branch Spreading exploits)
-            actual = entry.taken_when(self.state.flag)
-            if actual != predicted:
-                self.stats.zero_cost_overrides += 1
-                if self._obs_on:
-                    if self._obs_sinks:
-                        self._p_override.inc(site=entry._branch_pc)
-                    else:
-                        self._p_override.add()
+            actual = self.state.flag == entry._taken_on
             slot.chosen_taken = actual
-            slot.resolved = True
-            chosen = taken_pc if actual else fall_pc
-            other = fall_pc if actual else taken_pc
+            slot.governing_seq = None
+            if actual == entry._predicted_taken:
+                slot.other_pc = entry.alt_pc
+                self.ir_next_pc = entry.next_pc
+            else:
+                self.stats.zero_cost_overrides += 1
+                if self._per_event:
+                    self._p_override.inc(site=entry._branch_pc)
+                slot.other_pc = entry.next_pc
+                self.ir_next_pc = entry.alt_pc
+            return
+
+        # the branch must trust its prediction bit because the governing
+        # condition-code write is still in the pipeline — the CC
+        # interlock Branch Spreading tries to engineer away
+        if self._per_event:
+            self._p_interlock.inc(site=entry._branch_pc,
+                                  folded=entry.is_folded,
+                                  d0=entry.folds_compare_and_branch)
         else:
-            # the branch must trust its prediction bit because the
-            # governing condition-code write is still in the pipeline —
-            # the CC interlock Branch Spreading tries to engineer away
-            if self._obs_on:
-                if self._obs_sinks:
-                    self._p_interlock.inc(site=entry._branch_pc,
-                                          folded=entry.is_folded,
-                                          d0=entry.folds_compare_and_branch)
-                else:
-                    self._p_interlock.add()
-            slot.chosen_taken = predicted
-            slot.resolved = False
-            slot.speculated = True
-            chosen = entry.next_pc
-            other = entry.alt_pc
-            dyn = self._dyn
-            if dyn is not None and entry.dyn_foldable:
-                confidence = dyn.decide(entry._branch_pc)
-                if confidence:
-                    # dynamic fold: the predictor says taken with enough
-                    # confidence, so commit to the taken path like one of
-                    # the paper's unconditional folds. The ShadowRecord
-                    # rides down the pipeline; verification happens when
-                    # the governing compare retires (below, via
-                    # _resolve_dependents).
-                    slot.chosen_taken = True
-                    chosen = taken_pc
-                    other = fall_pc
-                    assert chosen is not None and other is not None
-                    slot.shadow = ShadowRecord(
-                        entry._branch_pc, True, chosen, other, confidence)
-                    self.stats.dynamic_folds += 1
-                    dyn.note_fold(entry._branch_pc)
-                    if self._obs_on:
-                        if self._obs_sinks:
-                            self._p_dynfold.inc(site=entry._branch_pc,
-                                                confidence=confidence)
-                        else:
-                            self._p_dynfold.add()
-            if entry.is_folded:
-                # folded branches recover as soon as the governing compare
-                # resolves, wherever the branch is in the pipeline
-                if entry.folds_compare_and_branch:
-                    governing = slot
-                else:
-                    governing = self.or_
-                    if not (governing is not None and governing.valid
-                            and governing.entry.sets_cc):
-                        governing = self.rr
-                slot.governing_seq = governing.seq
-            # unfolded branches keep governing_seq None and resolve at
-            # their own RR stage
+            self._n_interlock += 1
+        slot.chosen_taken = entry._predicted_taken
+        slot.resolved = False
+        slot.speculated = True
+        chosen = entry.next_pc
+        other = entry.alt_pc
+        dyn = self._dyn
+        if dyn is not None and entry.dyn_foldable:
+            confidence = dyn.decide(entry._branch_pc)
+            if confidence:
+                # dynamic fold: the predictor says taken with enough
+                # confidence, so commit to the taken path like one of the
+                # paper's unconditional folds. The ShadowRecord rides down
+                # the pipeline; verification happens when the governing
+                # compare retires (_resolve_dependents).
+                if not entry._predicted_taken:
+                    chosen, other = other, chosen
+                slot.chosen_taken = True
+                assert chosen is not None and other is not None
+                slot.shadow = ShadowRecord(
+                    entry._branch_pc, True, chosen, other, confidence)
+                self.stats.dynamic_folds += 1
+                dyn.note_fold(entry._branch_pc)
+                if self._per_event:
+                    self._p_dynfold.inc(site=entry._branch_pc,
+                                        confidence=confidence)
+        # folded branches recover as soon as the governing compare
+        # resolves, wherever the branch is in the pipeline; unfolded ones
+        # resolve at their own RR stage
+        slot.governing_seq = governing.seq if entry.is_folded else None
         slot.other_pc = other
         self.ir_next_pc = chosen

@@ -34,8 +34,12 @@ class DecodedICache:
         #: skip line-by-line residency revalidation between fills
         self.generation = 0
         self._obs_on = obs.enabled  #: skip probe updates on a disabled bus
+        self._obs_sinks = obs.sinks_ref()  #: publish each fill if truthy
         self._p_fills = obs.counter("icache.fills")
         self._p_evictions = obs.counter("icache.conflict_evictions")
+        #: fills and conflict evictions not yet added to their probes
+        self._n_fills = 0
+        self._n_evictions = 0
 
     def index_of(self, address: int) -> int:
         """Cache index: low bits of the parcel-aligned address."""
@@ -60,11 +64,27 @@ class DecodedICache:
         index = self.index_of(entry.address)
         if self._obs_on:
             previous = self._lines[index]
-            if previous is not None and previous.address != entry.address:
-                self._p_evictions.add()
-            self._p_fills.add()
+            evicts = (previous is not None
+                      and previous.address != entry.address)
+            if self._obs_sinks:
+                if evicts:
+                    self._p_evictions.add()
+                self._p_fills.add()
+            else:
+                self._n_evictions += evicts
+                self._n_fills += 1
         self._lines[index] = entry
         self.generation += 1
+
+    def publish_probes(self) -> None:
+        """Add the fills and evictions counted while no sink listened to
+        their probes; the cycle loops call this when they return."""
+        if self._n_fills:
+            self._p_fills.add(self._n_fills)
+            self._n_fills = 0
+            if self._n_evictions:
+                self._p_evictions.add(self._n_evictions)
+                self._n_evictions = 0
 
     def invalidate(self) -> None:
         """Clear every line (machine reset)."""

@@ -76,13 +76,20 @@ class PrefetchDecodeUnit:
         self.prefetch_depth = prefetch_depth
         self.obs = obs
         self._obs_on = obs.enabled  #: skip probe updates on a disabled bus
-        self._obs_sinks = obs.sinks_ref()  #: field formatting only if truthy
+        #: with a sink listening, each counter event is published as it
+        #: happens; without one it is counted below and published by
+        #: :meth:`publish_probes`
+        self._obs_sinks = obs.sinks_ref()
         self._p_decoded = obs.counter("pdu.decoded")
         self._p_fold_attempted = obs.counter("fold.attempted")
         self._p_fold_decoded = obs.counter("fold.decoded")
         self._p_accesses = obs.counter("pdu.memory_accesses")
         self._p_queue_depth = obs.gauge("pdu.queue.depth")
         self._p_ahead = obs.gauge("pdu.prefetch.ahead")
+        self._n_decoded = 0
+        self._n_fold_attempted = 0
+        self._n_fold_decoded = 0
+        self._n_accesses = 0
 
         self.decode_pc: int | None = None  #: next address to decode
         self.queue_base = 0  #: byte address of the first buffered parcel
@@ -180,15 +187,15 @@ class PrefetchDecodeUnit:
             if detail:
                 self._p_decoded.inc(site=entry.address)
             else:
-                self._p_decoded.add()
+                self._n_decoded += 1
             self._p_ahead.set_fast(self.entries_ahead)
             if entry.is_folded:
                 if detail:
                     self._p_fold_attempted.inc(site=entry._branch_pc)
                     self._p_fold_decoded.inc(site=entry._branch_pc)
                 else:
-                    self._p_fold_attempted.add()
-                    self._p_fold_decoded.add()
+                    self._n_fold_attempted += 1
+                    self._n_fold_decoded += 1
             elif (entry.body is not None
                   and self.folder.policy.enabled
                   and entry.body.length_parcels()
@@ -197,7 +204,7 @@ class PrefetchDecodeUnit:
                 if detail:
                     self._p_fold_attempted.inc(site=entry.address)
                 else:
-                    self._p_fold_attempted.add()
+                    self._n_fold_attempted += 1
 
         sequential = entry.sequential
         follow = entry.next_pc
@@ -264,4 +271,24 @@ class PrefetchDecodeUnit:
         self.fetch_countdown = self.mem_latency
         self.memory_accesses += 1
         if self._obs_on:
-            self._p_accesses.add()
+            if self._obs_sinks:
+                self._p_accesses.add()
+            else:
+                self._n_accesses += 1
+
+    def publish_probes(self) -> None:
+        """Add the counter events counted while no sink listened to their
+        probes; the cycle loops call this when they return. The gauges
+        are set as they move, once per fetch or decode."""
+        if self._n_accesses:
+            self._p_accesses.add(self._n_accesses)
+            self._n_accesses = 0
+        if self._n_decoded:
+            self._p_decoded.add(self._n_decoded)
+            self._n_decoded = 0
+        if self._n_fold_attempted:
+            self._p_fold_attempted.add(self._n_fold_attempted)
+            self._n_fold_attempted = 0
+        if self._n_fold_decoded:
+            self._p_fold_decoded.add(self._n_fold_decoded)
+            self._n_fold_decoded = 0

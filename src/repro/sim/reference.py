@@ -19,7 +19,10 @@ Two consumers depend on it staying put:
 It intentionally does **not** share the optimised helpers: the point is
 an independently-written (well: independently-preserved) step function.
 Its PDU is the production timing model minus the decode table
-(:class:`ReferencePrefetchDecodeUnit`), so every decode runs afresh.
+(:class:`ReferencePrefetchDecodeUnit`), so every decode runs afresh. That
+PDU and the shared :class:`~repro.sim.icache.DecodedICache` count their
+probe events while no sink listens; :class:`ReferenceCpu` publishes them
+after every step and when its run loop returns, as the fast loop does.
 Interrupt delivery is the one feature not carried over — the reference
 exists to check the steady-state pipeline, and the interrupt tests drive
 the real kernel directly.
@@ -554,13 +557,24 @@ class ReferenceCpu:
         self._p_miss_latency = self.obs.histogram("icache.miss.latency")
         self._miss_address: int | None = None
         self._miss_cycle = 0
+        self._boundary_ok: set[int] = set()
         self.pdu.demand(program.entry)
 
     @property
     def halted(self) -> bool:
         return self.eu.halted
 
+    def _publish_probes(self) -> None:
+        self.pdu.publish_probes()
+        self.icache.publish_probes()
+
     def step(self) -> None:
+        try:
+            self._step()
+        finally:
+            self._publish_probes()
+
+    def _step(self) -> None:
         self.pdu.tick()
 
         fetched = None
@@ -579,6 +593,18 @@ class ReferenceCpu:
                 if address != self._miss_address:
                     self._miss_address = address
                     self._miss_cycle = self.stats.cycles
+                eu = self.eu
+                if (address not in self._boundary_ok
+                        and (eu.rr is None or not eu.rr.valid)
+                        and (eu.or_ is None or not eu.or_.valid)
+                        and (eu.ir is None or not eu.ir.valid)):
+                    # nothing in flight chose this path: the demand is
+                    # architectural, so it must start an instruction
+                    if address not in self.program.addresses:
+                        raise SimulationError(
+                            f"control reached {address:#x}, not an "
+                            f"instruction boundary")
+                    self._boundary_ok.add(address)
                 self.pdu.demand(address)
         if fetched is not None:
             self.stats.icache_hits += 1
@@ -591,10 +617,13 @@ class ReferenceCpu:
         from repro.sim.cpu import WATCHDOG_RING
 
         limit = self.config.max_cycles if max_cycles is None else max_cycles
-        for _ in range(limit):
-            if self.eu.halted:
-                return self.stats
-            self.step()
+        try:
+            for _ in range(limit):
+                if self.eu.halted:
+                    return self.stats
+                self._step()
+        finally:
+            self._publish_probes()
         if self.eu.halted:  # halted on the last budgeted cycle
             return self.stats
         # budget exhausted: sample the next fetch addresses for the

@@ -366,7 +366,7 @@ def run_oracle(program: Program,
                                 branch_pc, False))
                             event_order += 1
             if dyn is not None and branch.is_conditional_branch:
-                # retirement-time training, mirrored from _record_branch
+                # trained at retirement, as the EU does
                 heapq.heappush(events, (
                     fetch + 3, 1, event_order, branch_pc, step.taken))
                 event_order += 1

@@ -429,6 +429,52 @@ class TestMalformedAssemblyExit1:
         assert "Traceback" not in captured.out + captured.err
 
 
+#: origins outside the 32-bit address space, and code that runs past it
+BAD_ORIGINS = {
+    ".org 0xFFFFFFFE\nnop\nnop\nhalt":
+        "line 3: code at 0x100000000 runs past 0xFFFFFFFF",
+    ".org 0xFFFFFFFC\nnop\nadd *0x10, 1\nhalt":
+        "line 3: code at 0xfffffffe runs past 0xFFFFFFFF",
+    ".org -8\nnop\nhalt": "line 1: .org -8 out of 32-bit range",
+    "nop\n.org 0x100000000\nhalt":
+        "line 2: .org 0x100000000 out of 32-bit range",
+    ".dataorg -4\n.word x, 1\nhalt":
+        "line 1: .dataorg -4 out of 32-bit range",
+    ".dataorg 0x100000000\nhalt":
+        "line 1: .dataorg 0x100000000 out of 32-bit range",
+    ".stack -4\nhalt": "line 1: .stack -4 out of 32-bit range",
+    ".stack 0x100000000\nhalt":
+        "line 1: .stack 0x100000000 out of 32-bit range",
+}
+
+
+class TestOriginsOutsideAddressSpaceExit1:
+    """``.org``, ``.dataorg`` and ``.stack`` take an address in
+    0..0xFFFFFFFF, and code may not run past 0xFFFFFFFF, as data may
+    not; every tool that assembles names the line and exits 1."""
+
+    @pytest.mark.parametrize("main, argv, stream, prefix", (
+        (asm_main, [], "err", "error: "),
+        (sim_main, [], "err", "error: "),
+        (_verify_main, ["replay"], "out", "{path}: ASSEMBLY ERROR: "),
+    ), ids=("crisp-asm", "crisp-sim", "crisp-verify-replay"))
+    @pytest.mark.parametrize("source", BAD_ORIGINS)
+    def test_rejected(self, source, main, argv, stream, prefix, tmp_path,
+                      capsys):
+        path = tmp_path / "origin.s"
+        path.write_text(source + "\n")
+        assert main(argv + [str(path)]) == 1
+        captured = capsys.readouterr()
+        assert getattr(captured, stream).splitlines() == [
+            prefix.format(path=path) + BAD_ORIGINS[source]]
+        assert "Traceback" not in captured.out + captured.err
+
+    def test_code_may_end_at_the_top(self):
+        from repro.asm import assemble
+        program = assemble(".org 0xFFFFFFFC\nnop\nhalt\n")
+        assert program.addresses == [0xFFFFFFFC, 0xFFFFFFFE]
+
+
 class TestCrispCcReportsEveryToolchainError:
     @pytest.mark.parametrize("flags", ([], ["--run"], ["--cycles"]),
                              ids=("emit", "run", "cycles"))

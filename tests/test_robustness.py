@@ -88,6 +88,71 @@ class TestWatchdog:
         assert cpu.eu.halted
 
 
+class TestControlLeavesProgram:
+    """Both cycle kernels end a run whose control leaves the program's
+    code in the functional simulator's error, once the pipeline has
+    drained, instead of stalling on the demand miss until the watchdog."""
+
+    @pytest.mark.parametrize("cpu_class", (CrispCpu, ReferenceCpu))
+    @pytest.mark.parametrize("source, address, cycles", (
+        ("", 0x1000, 0),  # the entry point itself
+        ("nop", 0x1002, 8),
+        ("mov Accum, $1\nadd Accum, $2", 0x1004, 9),  # runs off its end
+        ("jmp far\nhalt\nfar: nop", 0x1006, 10),
+    ), ids=("empty", "nop", "off-the-end", "after-jump"))
+    def test_raises_at_the_address(self, cpu_class, source, address,
+                                   cycles):
+        cpu = cpu_class(assemble(source))
+        with pytest.raises(SimulationError) as excinfo:
+            cpu.run(max_cycles=100)
+        assert type(excinfo.value) is SimulationError
+        assert str(excinfo.value) == (
+            f"control reached {address:#x}, not an instruction boundary")
+        assert cpu.stats.cycles == cycles
+
+    @pytest.mark.parametrize("cpu_class", (CrispCpu, ReferenceCpu))
+    def test_halt_still_in_flight_keeps_running(self, cpu_class):
+        """The EU demands past a final ``halt`` while the halt is still
+        in IR/OR; the pipeline is not drained, so nothing is raised and
+        the run keeps its stats, decoded-cache misses included."""
+        cpu = cpu_class(assemble("mov Accum, $1\nhalt"))
+        stats = cpu.run(max_cycles=100)
+        assert (stats.cycles, stats.icache_misses, stats.icache_hits,
+                stats.stall_cycles, stats.issued_instructions) == \
+            (9, 7, 2, 7, 2)
+        assert cpu.state.accum == 1
+
+    @pytest.mark.parametrize("cpu_class", (CrispCpu, ReferenceCpu))
+    def test_wrong_path_fetch_still_stalls(self, cpu_class):
+        """A predicted-taken branch to an odd address in data fetches it
+        while its compare is in flight; the misprediction recovers."""
+        source = """
+        cmp.= $1, $2
+        iftjmpy 0x8001
+        mov Accum, $5
+        halt
+        """
+        cpu = cpu_class(assemble(source))
+        stats = cpu.run(max_cycles=1_000)
+        assert cpu.state.accum == 5
+        assert stats.mispredictions == 1
+
+    def test_crisp_sim_exits_on_an_empty_file(self, tmp_path):
+        import subprocess
+        import sys
+        path = tmp_path / "empty.s"
+        path.write_text("")
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        result = subprocess.run(
+            [sys.executable, "-m", "repro.sim.cli", str(path)],
+            capture_output=True, text=True, timeout=30, env=env)
+        assert result.returncode == 1
+        assert result.stderr == ("error: control reached 0x1000, not an "
+                                 "instruction boundary\n")
+        assert result.stdout == ""
+
+
 class TestConfigValidation:
     """A config the machine cannot run is refused up front, naming the
     field: zero latencies/depths used to spin at the entry point until
